@@ -108,7 +108,7 @@ def cmd_evaluate(args) -> int:
 # self-check suites
 
 
-def _suite_gradcheck(corrupt: bool = False):
+def _suite_gradcheck():
     rng = np.random.default_rng(7)
     cases = [
         ("matmul", lambda ins: tt.tsum(tt.matmul(ins[0], ins[1])),
@@ -125,16 +125,6 @@ def _suite_gradcheck(corrupt: bool = False):
     for name, fn, shapes in cases:
         inputs = [tt.Tensor(rng.normal(size=s), requires_grad=True, dtype=np.float64)
                   for s in shapes]
-        if corrupt:
-            # negative-control hook: skew the analytic gradient and make sure
-            # the comparison trips
-            tt.reset_tape()
-            loss = fn(inputs)
-            tt.backward(loss)
-            inputs[0].grad = inputs[0].grad + 1.0
-            numeric = tt.numeric_gradient(fn, inputs)
-            if np.max(np.abs(inputs[0].grad - numeric[0])) > 1e-6:
-                raise NumericError(f"gradcheck: corrupted gradient detected in {name}")
         tt.check_gradients(fn, inputs, rel_tol=1e-6)
 
 
@@ -217,10 +207,7 @@ _SUITES = [
 def cmd_check(args) -> int:
     for name, suite in _SUITES:
         try:
-            if name == "gradcheck":
-                suite(corrupt=args.corrupt_gradient)
-            else:
-                suite()
+            suite()
         except Exception as exc:
             print(f"{name}: FAIL ({exc})")
             return 4
@@ -273,7 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_evaluate)
 
     p = sub.add_parser("check", help="run the invariant self-check suites")
-    p.add_argument("--corrupt-gradient", action="store_true", help=argparse.SUPPRESS)
     p.set_defaults(fn=cmd_check)
     return parser
 

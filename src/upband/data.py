@@ -13,13 +13,13 @@ from __future__ import annotations
 
 import logging
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import dsp
-from .dsp import AudioBuffer, HIGH_BINS, LOW_BINS
+from .dsp import AudioBuffer, LOW_BINS
 from .errors import DataError, WavFormatError
 
 log = logging.getLogger(__name__)
@@ -103,9 +103,6 @@ def write_wav(path, audio: AudioBuffer) -> None:
 class TrainingExample:
     low_log_mag: np.ndarray        # [T, 257] from the re-interpolated signal
     high_log_mag_real: np.ndarray  # [T, 256] from the ground-truth signal
-    phase_full: np.ndarray         # [T, 513] phase of the interpolated signal
-    source: str = ""
-    offset: int = 0
 
 
 def make_pair(high: AudioBuffer, source: str = "") -> TrainingExample:
@@ -120,20 +117,13 @@ def make_pair(high: AudioBuffer, source: str = "") -> TrainingExample:
     truth = AudioBuffer(high.samples[:n_even], high.sample_rate)
     interp = dsp.sinc_upsample(dsp.downsample(truth, 2), 2)
 
-    spec_interp = dsp.stft(interp)
-    mag_i, phase = dsp.split_mag_phase(spec_interp)
-    low = dsp.to_log_magnitude(mag_i).data[:, :LOW_BINS]
-
-    spec_true = dsp.stft(truth)
-    mag_t, _ = dsp.split_mag_phase(spec_true)
-    high_bins = dsp.to_log_magnitude(mag_t).data[:, LOW_BINS:]
+    low = dsp.to_log_magnitude(np.abs(dsp.stft(interp).data)).data[:, :LOW_BINS]
+    high_bins = dsp.to_log_magnitude(np.abs(dsp.stft(truth).data)).data[:, LOW_BINS:]
 
     if not (np.all(np.isfinite(low)) and np.all(np.isfinite(high_bins))):
         raise DataError(f"make_pair: non-finite spectrogram values from {source or 'input'}")
     return TrainingExample(low_log_mag=low.astype(np.float32),
-                           high_log_mag_real=high_bins.astype(np.float32),
-                           phase_full=phase.data.astype(np.float32),
-                           source=source)
+                           high_log_mag_real=high_bins.astype(np.float32))
 
 
 # ---------------------------------------------------------------------------

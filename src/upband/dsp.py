@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import functools
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,7 +30,6 @@ LOG_MAG_FLOOR = 1e-5
 # straddles Nyquist instead of eating into the top working bins.
 FILTER_TAPS = 129
 KAISER_BETA = 8.6
-CUTOFF_SCALE = 1.0
 # The decimator hands on the band the model conditions on, so its kernel is
 # long enough to keep the transition band inside 11.0-11.25 kHz at 44.1 kHz:
 # conditioning bins up to 255 (11.0 kHz) lose at most 1 dB and nothing folds
@@ -69,15 +68,10 @@ class ComplexSpectrogram:
     n_fft: int
     hop: int
     sample_rate: int
-    window_kind: str = "hann"
 
     @property
     def frames(self) -> int:
         return self.data.shape[0]
-
-    @property
-    def bins(self) -> int:
-        return self.data.shape[1]
 
 
 @dataclass
@@ -85,7 +79,6 @@ class LogMagnitude:
     """Natural-log magnitudes, floored at LOG_MAG_FLOOR before the log."""
 
     data: np.ndarray          # [T, F] real
-    floor: float = LOG_MAG_FLOOR
 
 
 @dataclass
@@ -127,7 +120,7 @@ def sinc_upsample(audio: AudioBuffer, factor: int) -> AudioBuffer:
     n = len(audio)
     up = np.zeros(n * factor, dtype=np.float64)
     up[::factor] = audio.samples
-    h = _windowed_sinc(CUTOFF_SCALE * 0.5 / factor) * factor
+    h = _windowed_sinc(0.5 / factor) * factor
     delay = (len(h) - 1) // 2
     y = np.convolve(up, h, mode="full")[delay:delay + n * factor]
     return AudioBuffer(y, audio.sample_rate * factor)
@@ -163,7 +156,7 @@ def downsample(audio: AudioBuffer, factor: int) -> AudioBuffer:
     if n == 0:
         raise DataError("downsample: input shorter than one output sample")
     x = x[:n]
-    h = _windowed_sinc(CUTOFF_SCALE * 0.5 / factor, DECIMATOR_TAPS)
+    h = _windowed_sinc(0.5 / factor, DECIMATOR_TAPS)
     delay = (len(h) - 1) // 2
     size = _fft_size(n + len(h) - 1)  # no circular wrap into the kept samples
     y = np.fft.irfft(np.fft.rfft(x, size) * np.fft.rfft(h, size), size)[delay:delay + n]
@@ -223,12 +216,8 @@ def recombine(magnitude: np.ndarray, phase: Phase, n_fft: int, hop: int,
                               hop=hop, sample_rate=sample_rate)
 
 
-def to_log_magnitude(magnitude: np.ndarray, floor: float = LOG_MAG_FLOOR) -> LogMagnitude:
-    return LogMagnitude(np.log(np.maximum(magnitude, floor)), floor=floor)
-
-
-def from_log_magnitude(log_mag: LogMagnitude) -> np.ndarray:
-    return np.exp(log_mag.data)
+def to_log_magnitude(magnitude: np.ndarray) -> LogMagnitude:
+    return LogMagnitude(np.log(np.maximum(magnitude, LOG_MAG_FLOOR)))
 
 
 def reconstruct_full(low_log_mag: LogMagnitude, high_log_mag: LogMagnitude,

@@ -15,11 +15,12 @@ knob with canonical transformer defaults.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensor as tt
+from .dsp import HIGH_BINS, LOW_BINS, N_BINS
 from .errors import ConfigError, ShapeError
 from .tensor import Tensor
 
@@ -32,17 +33,12 @@ class GeneratorConfig:
     d_model: int = 512
     n_heads: int = 8
     d_ff: int = 2048
-    in_bins: int = 257
-    out_bins: int = 256
     max_frames: int = 4096
 
     def __post_init__(self):
         if self.d_model % self.n_heads != 0:
             raise ConfigError(f"GeneratorConfig: d_model={self.d_model} not divisible by "
                               f"n_heads={self.n_heads}")
-        if self.in_bins + self.out_bins != 513:
-            raise ConfigError(f"GeneratorConfig: in_bins + out_bins must be 513, "
-                              f"got {self.in_bins}+{self.out_bins}")
 
 
 @dataclass
@@ -74,11 +70,6 @@ class SpectralNormState:
     def init(self, name: str, rows: int, rng: np.random.Generator) -> None:
         u = rng.normal(size=rows)
         self.u[name] = (u / np.linalg.norm(u)).astype(np.float32)
-
-    def copy(self) -> "SpectralNormState":
-        out = SpectralNormState()
-        out.u = {k: v.copy() for k, v in self.u.items()}
-        return out
 
 
 # Discriminator spectra stay tightly clustered during training, so a
@@ -141,7 +132,7 @@ def init_parameters(gen_cfg: GeneratorConfig, disc_cfg: DiscriminatorConfig,
     params: dict[str, Tensor] = {}
     d, dff = gen_cfg.d_model, gen_cfg.d_ff
 
-    _param(params, "gen.in.w", _uniform(rng, (gen_cfg.in_bins, d), gen_cfg.in_bins))
+    _param(params, "gen.in.w", _uniform(rng, (LOW_BINS, d), LOW_BINS))
     _param(params, "gen.in.b", np.zeros(d, dtype=np.float32))
     for i in range(gen_cfg.n_layers):
         p = f"gen.L{i}"
@@ -159,14 +150,14 @@ def init_parameters(gen_cfg: GeneratorConfig, disc_cfg: DiscriminatorConfig,
         _param(params, f"{p}.ff.b2", np.zeros(d, dtype=np.float32))
     _param(params, "gen.lnf.g", np.ones(d, dtype=np.float32))
     _param(params, "gen.lnf.b", np.zeros(d, dtype=np.float32))
-    _param(params, "gen.out.w", _uniform(rng, (d, gen_cfg.out_bins), d))
-    _param(params, "gen.out.b", np.zeros(gen_cfg.out_bins, dtype=np.float32))
+    _param(params, "gen.out.w", _uniform(rng, (d, HIGH_BINS), d))
+    _param(params, "gen.out.b", np.zeros(HIGH_BINS, dtype=np.float32))
 
     sn = SpectralNormState()
     C, k = disc_cfg.channels, disc_cfg.kernel
     for j, g in enumerate(disc_cfg.group_counts):
         p = f"disc{j}"
-        _param(params, f"{p}.proj.w", _uniform(rng, (C, 513, 1), 513))
+        _param(params, f"{p}.proj.w", _uniform(rng, (C, N_BINS, 1), N_BINS))
         _param(params, f"{p}.proj.b", np.zeros(C, dtype=np.float32))
         sn.init(f"{p}.proj.w", C, rng)
         for i in range(1, disc_cfg.n_layers + 1):
@@ -211,7 +202,7 @@ def sinusoidal_positions(n_frames: int, d_model: int) -> np.ndarray:
 
 
 def generator_forward(params: dict[str, Tensor], cfg: GeneratorConfig, low: Tensor) -> Tensor:
-    """Map log magnitudes [T, in_bins] (or [B, T, in_bins]) to [T, out_bins].
+    """Map log magnitudes [T, LOW_BINS] (or [B, T, LOW_BINS]) to [T, HIGH_BINS].
 
     Attention is bidirectional (no causal mask); every output frame may
     depend on every input frame.
@@ -220,8 +211,8 @@ def generator_forward(params: dict[str, Tensor], cfg: GeneratorConfig, low: Tens
     if squeeze:
         low = tt.reshape(low, (1,) + low.shape)
     B, T, bins = low.shape
-    if bins != cfg.in_bins:
-        raise ShapeError(f"generator_forward: expected {cfg.in_bins} input bins, got {bins}")
+    if bins != LOW_BINS:
+        raise ShapeError(f"generator_forward: expected {LOW_BINS} input bins, got {bins}")
     if T > cfg.max_frames:
         raise ShapeError(f"generator_forward: {T} frames exceeds positional horizon "
                          f"{cfg.max_frames}")
@@ -255,12 +246,12 @@ def generator_forward(params: dict[str, Tensor], cfg: GeneratorConfig, low: Tens
     h = tt.layer_norm(h, params["gen.lnf.g"], params["gen.lnf.b"])
     out = tt.linear(h, params["gen.out.w"], params["gen.out.b"])
     if squeeze:
-        out = tt.reshape(out, (T, cfg.out_bins))
+        out = tt.reshape(out, (T, HIGH_BINS))
     return out
 
 
 def make_generator_fn(params: dict[str, Tensor], cfg: GeneratorConfig):
-    """Inference closure: numpy [T, in_bins] -> numpy [T, out_bins], chunked."""
+    """Inference closure: numpy [T, LOW_BINS] -> numpy [T, HIGH_BINS], chunked."""
 
     def fn(low_log_mag: np.ndarray) -> np.ndarray:
         chunks = []
@@ -294,8 +285,8 @@ def discriminator_forward(params: dict[str, Tensor], cfg: DiscriminatorConfig,
     squeeze = full.ndim == 2
     if squeeze:
         full = tt.reshape(full, (1,) + full.shape)
-    if full.shape[-1] != 513:
-        raise ShapeError(f"discriminator_forward: expected 513 bins, got {full.shape[-1]}")
+    if full.shape[-1] != N_BINS:
+        raise ShapeError(f"discriminator_forward: expected {N_BINS} bins, got {full.shape[-1]}")
     x = tt.transpose(full, (0, 2, 1))  # [B, 513, T]
     g = cfg.group_counts[d_index]
     p = f"disc{d_index}"

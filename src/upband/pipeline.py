@@ -13,10 +13,10 @@ from . import dsp
 from .dsp import AudioBuffer, LogMagnitude
 
 
-def upsample_buffer(audio: AudioBuffer, model_fn=None, factor: int = 2) -> AudioBuffer:
-    """Upsample ``audio`` by ``factor``; ``model_fn`` of None gives the
-    plain sinc-interpolation baseline."""
-    interp = dsp.sinc_upsample(audio, factor)
+def upsample_buffer(audio: AudioBuffer, model_fn=None) -> AudioBuffer:
+    """Upsample ``audio`` by 2; ``model_fn`` of None gives the plain
+    sinc-interpolation baseline."""
+    interp = dsp.sinc_upsample(audio, 2)
     if model_fn is None:
         return interp
     spec = dsp.stft(interp)

@@ -9,14 +9,14 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import checkpoint as ckpt
 from . import tensor as tt
-from .errors import DataError, NumericError, ShapeError
+from .errors import CheckpointError, DataError, NumericError, ShapeError
 from .model import (DiscriminatorConfig, GeneratorConfig, SpectralNormState,
                     all_discriminators_forward, discriminator_parameter_names,
                     generator_forward, generator_parameter_names, init_parameters)
@@ -36,7 +36,6 @@ class TrainConfig:
     max_steps: int = 1000
     seed: int = 0
     checkpoint_interval: int = 500
-    grad_clip: float = 0.0  # 0 disables clipping
 
     def __post_init__(self):
         from .errors import ConfigError
@@ -175,22 +174,6 @@ def _zero_grads(params):
         p.grad = None
 
 
-def _clip_grads(params, names, limit: float):
-    if limit <= 0:
-        return
-    sq = 0.0
-    for n in names:
-        g = params[n].grad
-        if g is not None:
-            sq += float(np.sum(g.astype(np.float64) ** 2))
-    norm = np.sqrt(sq)
-    if norm > limit:
-        scale = limit / norm
-        for n in names:
-            if params[n].grad is not None:
-                params[n].grad = params[n].grad * scale
-
-
 def train_step(state: TrainState, low: np.ndarray, high_real: np.ndarray) -> StepReport:
     """One discriminator update followed by one generator update.
 
@@ -217,7 +200,6 @@ def train_step(state: TrainState, low: np.ndarray, high_real: np.ndarray) -> Ste
                                                 state.sn, update_sn=False)
     d_loss = hinge_d_loss(real_logits, fake_logits)
     tt.backward(d_loss)
-    _clip_grads(params, disc_names, cfg.grad_clip)
     adam_step(params, disc_names, state.adam_d, cfg.lr_d, cfg.beta1, cfg.beta2, cfg.eps)
     _zero_grads(params)
 
@@ -234,7 +216,6 @@ def train_step(state: TrainState, low: np.ndarray, high_real: np.ndarray) -> Ste
     g_fm = feature_matching_loss(real_feats, fake_feats)
     g_loss = tt.add(g_adv, tt.mul(g_fm, cfg.fm_weight)) if cfg.fm_weight else g_adv
     tt.backward(g_loss)
-    _clip_grads(params, gen_names, cfg.grad_clip)
     adam_step(params, gen_names, state.adam_g, cfg.lr_g, cfg.beta1, cfg.beta2, cfg.eps)
     _zero_grads(params)
 
@@ -242,11 +223,8 @@ def train_step(state: TrainState, low: np.ndarray, high_real: np.ndarray) -> Ste
     report = StepReport(step=state.step, d_loss=d_loss.item(), g_adv=g_adv.item(),
                         g_fm=g_fm.item(), seconds=time.perf_counter() - t0)
     if not all(np.isfinite([report.d_loss, report.g_adv, report.g_fm])):
-        grad_note = {n: float(np.max(np.abs(params[n].grad))) for n in list(params)[:3]
-                     if params[n].grad is not None}
         raise NumericError(f"train_step: non-finite loss at step {report.step}: "
-                           f"d={report.d_loss} g_adv={report.g_adv} g_fm={report.g_fm} "
-                           f"grad_norms={grad_note}")
+                           f"d={report.d_loss} g_adv={report.g_adv} g_fm={report.g_fm}")
     return report
 
 
@@ -281,6 +259,29 @@ def sample_batch(dataset, rng: np.random.Generator, batch_size: int, batch_frame
 # checkpointing
 
 
+def _architecture_digest(gen_cfg: GeneratorConfig, disc_cfg: DiscriminatorConfig) -> bytes:
+    """Digest of the config fields that shape the weights.
+
+    Training hyperparameters may differ between the run that wrote a
+    checkpoint and the one reading it, and ``max_frames`` only bounds the
+    inference chunk length.
+    """
+    gen = {f.name: getattr(gen_cfg, f.name) for f in fields(gen_cfg) if f.name != "max_frames"}
+    return ckpt.config_digest(gen, asdict(disc_cfg))
+
+
+def _stored(tensors: dict[str, np.ndarray], key: str, shape=None) -> np.ndarray:
+    """``tensors[key]``, refused as a CheckpointError when it is missing or,
+    with ``shape`` given, shaped otherwise."""
+    arr = tensors.get(key)
+    if arr is None:
+        raise CheckpointError(f"checkpoint: missing tensor {key!r}")
+    if shape is not None and arr.shape != shape:
+        raise CheckpointError(f"checkpoint: tensor {key!r} has shape {arr.shape}, "
+                              f"expected {shape}")
+    return arr
+
+
 def save_checkpoint(path, state: TrainState) -> None:
     tensors: dict[str, np.ndarray] = {}
     for name, p in state.params.items():
@@ -296,37 +297,32 @@ def save_checkpoint(path, state: TrainState) -> None:
     tensors["step"] = np.array(state.step, dtype=np.int64)
     rng_state = json.dumps(state.rng.bit_generator.state).encode("utf-8")
     tensors["rng"] = np.frombuffer(rng_state, dtype=np.uint8)
-    # digest covers architecture only; training hyperparameters may differ
-    # between the run that wrote the checkpoint and the one reading it
-    digest = ckpt.config_digest(state.gen_cfg, state.disc_cfg)
-    ckpt.save_tensors(path, tensors, digest)
+    ckpt.save_tensors(path, tensors, _architecture_digest(state.gen_cfg, state.disc_cfg))
 
 
 def load_checkpoint(path, gen_cfg: GeneratorConfig, disc_cfg: DiscriminatorConfig,
                     train_cfg: TrainConfig) -> TrainState:
-    digest = ckpt.config_digest(gen_cfg, disc_cfg)
-    tensors = ckpt.load_tensors(path, expected_digest=digest)
+    tensors = ckpt.load_tensors(path, expected_digest=_architecture_digest(gen_cfg, disc_cfg))
     state = TrainState.fresh(gen_cfg, disc_cfg, train_cfg)
     for name, p in state.params.items():
-        p.data = tensors[f"param/{name}"].astype(p.dtype)
-    for name in list(state.sn.u):
-        state.sn.u[name] = tensors[f"sn.u/{name}"]
+        p.data = _stored(tensors, f"param/{name}", p.shape).astype(p.dtype)
+    for name, u in state.sn.u.items():
+        state.sn.u[name] = _stored(tensors, f"sn.u/{name}", u.shape)
     for tag, adam in (("adam_g", state.adam_g), ("adam_d", state.adam_d)):
-        adam.t = int(tensors[f"{tag}.t"].reshape(-1)[0])
-        for key, arr in tensors.items():
-            if key.startswith(f"{tag}.m/"):
-                adam.m[key[len(tag) + 3:]] = arr.copy()
-            elif key.startswith(f"{tag}.v/"):
-                adam.v[key[len(tag) + 3:]] = arr.copy()
-    state.step = int(tensors["step"].reshape(-1)[0])
-    rng_state = json.loads(bytes(tensors["rng"]).decode("utf-8"))
+        adam.t = int(_stored(tensors, f"{tag}.t").reshape(-1)[0])
+        for name, p in state.params.items():
+            for kind, moments in (("m", adam.m), ("v", adam.v)):
+                key = f"{tag}.{kind}/{name}"
+                if key in tensors:
+                    moments[name] = _stored(tensors, key, p.shape).copy()
+    state.step = int(_stored(tensors, "step").reshape(-1)[0])
+    rng_state = json.loads(bytes(_stored(tensors, "rng")).decode("utf-8"))
     state.rng.bit_generator.state = rng_state
     return state
 
 
 def train_loop(dataset, gen_cfg: GeneratorConfig, disc_cfg: DiscriminatorConfig,
-               train_cfg: TrainConfig, run_dir, resume_from=None,
-               log_stream=None) -> Path:
+               train_cfg: TrainConfig, run_dir, resume_from=None) -> Path:
     """Run the loop to ``max_steps``; returns the final checkpoint path.
 
     Writes ``loss.log`` (one tab-separated line per step) and periodic
@@ -350,8 +346,6 @@ def train_loop(dataset, gen_cfg: GeneratorConfig, disc_cfg: DiscriminatorConfig,
             line = report.log_line()
             log_file.write(line + "\n")
             log_file.flush()
-            if log_stream is not None:
-                log_stream.append(report)
             if train_cfg.checkpoint_interval > 0 and \
                     state.step % train_cfg.checkpoint_interval == 0:
                 save_checkpoint(run_dir / f"checkpoint_{state.step:07d}.nug", state)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from upband import cli, data, dsp
+from upband import checkpoint, cli, data, dsp, tensor as tt, training
 from upband.config import load_config, render_config
 from upband.errors import ConfigError
 
@@ -166,6 +166,25 @@ class TestCliUpsample:
         rc = cli.main(["upsample", str(src), str(tmp_path / "o.wav")])
         assert rc == 1
 
+    @pytest.mark.parametrize("damage", ["missing", "wrong_shape"])
+    def test_damaged_checkpoint_exit_2(self, tmp_path, capsys, damage):
+        cfg_path = write_cfg(tmp_path)
+        cfg = load_config(cfg_path)
+        ck = tmp_path / "ck.nug"
+        training.save_checkpoint(ck, training.TrainState.fresh(cfg.generator,
+                                                               cfg.discriminator, cfg.train))
+        digest = ck.read_bytes()[8:40]
+        tensors = checkpoint.load_tensors(ck)
+        if damage == "missing":
+            del tensors["param/gen.out.b"]
+        else:
+            tensors["param/gen.out.b"] = tensors["param/gen.out.b"][:-1]
+        checkpoint.save_tensors(ck, tensors, digest)
+        rc = cli.main(["upsample", "--config", cfg_path, "--checkpoint", str(ck),
+                       str(self._low_rate_wav(tmp_path)), str(tmp_path / "o.wav")])
+        assert rc == 2
+        assert "gen.out.b" in capsys.readouterr().err
+
 
 class TestCliEvaluate:
     def test_baseline_report_format(self, cli_corpus, tmp_path, capsys):
@@ -190,7 +209,12 @@ class TestCliCheck:
                       "spectral_norm", "group_independence"):
             assert f"{suite}: ok" in out
 
-    def test_corrupted_gradient_negative_control(self, capsys):
-        assert cli.main(["check", "--corrupt-gradient"]) == 4
+    def test_corrupted_gradient_negative_control(self, capsys, monkeypatch):
+        # skew the finite-difference oracle so the real comparison must trip
+        oracle = tt.numeric_gradient
+        monkeypatch.setattr(tt, "numeric_gradient",
+                            lambda fn, inputs, eps=None: [g + 1.0 for g in
+                                                          oracle(fn, inputs, eps=eps)])
+        assert cli.main(["check"]) == 4
         out = capsys.readouterr().out
         assert "gradcheck: FAIL" in out

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from upband import model, tensor as tt
+from upband import dsp, model, tensor as tt
 from upband.errors import ConfigError, ShapeError
 from upband.model import (DiscriminatorConfig, GeneratorConfig, SpectralNormState,
                           all_discriminators_forward, discriminator_forward,
@@ -16,10 +16,6 @@ class TestConfigs:
     def test_head_divisibility(self):
         with pytest.raises(ConfigError):
             GeneratorConfig(d_model=100, n_heads=3)
-
-    def test_bin_split_must_cover_spectrum(self):
-        with pytest.raises(ConfigError):
-            GeneratorConfig(in_bins=200, out_bins=200)
 
     def test_group_divisibility(self):
         with pytest.raises(ConfigError):
@@ -49,18 +45,18 @@ class TestInit:
         disc = tiny_disc_cfg()
         params, _ = init_parameters(gen, disc, seed=0)
         d, dff = gen.d_model, gen.d_ff
-        gen_expected = (gen.in_bins * d + d)                       # input projection
+        gen_expected = (dsp.LOW_BINS * d + d)                      # input projection
         gen_expected += gen.n_layers * (
             2 * d                                                  # ln1
             + 4 * d * d + 4 * d                                    # attention
             + 2 * d                                                # ln2
             + d * dff + dff + dff * d + d)                         # feed-forward
         gen_expected += 2 * d                                      # final ln
-        gen_expected += d * gen.out_bins + gen.out_bins            # output head
+        gen_expected += d * dsp.HIGH_BINS + dsp.HIGH_BINS          # output head
         C, k = disc.channels, disc.kernel
         disc_expected = 0
         for g in disc.group_counts:
-            disc_expected += 513 * C + C                           # projection
+            disc_expected += dsp.N_BINS * C + C                    # projection
             disc_expected += disc.n_layers * (C * (C // g) * k + C)
             disc_expected += C + 1                                 # logit head
         assert parameter_count(params, "gen.") == gen_expected

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from upband import tensor as tt, training
+from upband import checkpoint, tensor as tt, training
 from upband.errors import CheckpointError, NumericError, ShapeError
 from upband.model import (all_discriminators_forward, discriminator_forward,
                           generator_forward, generator_parameter_names,
@@ -220,9 +220,44 @@ class TestCheckpoint:
         state = self._trained_state(small_examples, steps=1)
         path = tmp_path / "ck.nug"
         save_checkpoint(path, state)
-        with pytest.raises(CheckpointError):
-            load_checkpoint(path, tiny_gen_cfg(n_layers=3), state.disc_cfg,
-                            state.train_cfg)
+        for gen_cfg in (tiny_gen_cfg(n_layers=3), tiny_gen_cfg(d_model=32)):
+            with pytest.raises(CheckpointError):
+                load_checkpoint(path, gen_cfg, state.disc_cfg, state.train_cfg)
+
+    def test_loads_under_other_max_frames(self, small_examples, tmp_path):
+        state = self._trained_state(small_examples, steps=1)
+        path = tmp_path / "ck.nug"
+        save_checkpoint(path, state)
+        loaded = load_checkpoint(path, tiny_gen_cfg(max_frames=64), state.disc_cfg,
+                                 state.train_cfg)
+        for name in state.params:
+            np.testing.assert_array_equal(loaded.params[name].data, state.params[name].data)
+
+    @staticmethod
+    def _rewrite(path, edit):
+        digest = path.read_bytes()[8:40]
+        tensors = checkpoint.load_tensors(path)
+        edit(tensors)
+        checkpoint.save_tensors(path, tensors, digest)
+
+    @pytest.mark.parametrize("key", ["param/gen.out.b", "sn.u/disc0.proj.w"])
+    def test_missing_tensor_rejected(self, small_examples, tmp_path, key):
+        state = self._trained_state(small_examples, steps=1)
+        path = tmp_path / "ck.nug"
+        save_checkpoint(path, state)
+        self._rewrite(path, lambda t: t.pop(key))
+        with pytest.raises(CheckpointError, match="missing"):
+            load_checkpoint(path, state.gen_cfg, state.disc_cfg, state.train_cfg)
+
+    @pytest.mark.parametrize("key", ["param/gen.out.b", "sn.u/disc0.proj.w",
+                                     "adam_g.m/gen.out.b"])
+    def test_wrong_shape_rejected(self, small_examples, tmp_path, key):
+        state = self._trained_state(small_examples, steps=1)
+        path = tmp_path / "ck.nug"
+        save_checkpoint(path, state)
+        self._rewrite(path, lambda t: t.update({key: t[key][:-1]}))
+        with pytest.raises(CheckpointError, match="shape"):
+            load_checkpoint(path, state.gen_cfg, state.disc_cfg, state.train_cfg)
 
     def test_corrupt_magic_rejected(self, small_examples, tmp_path):
         state = self._trained_state(small_examples, steps=1)
