@@ -45,7 +45,7 @@ def _load_split(cfg: RunConfig):
     manifest = corpus_dir / "manifest.txt"
     if not corpus_dir.is_dir() or not manifest.exists():
         raise DataError(f"corpus not found at {corpus_dir} (expected manifest.txt)")
-    corpus, _ = data.load_manifest(corpus_dir, manifest)
+    corpus = data.load_manifest(corpus_dir, manifest)
     tag = cfg.data.heldout_tag or None
     return data.split_corpus(corpus, heldout_fraction=cfg.data.heldout_fraction,
                              heldout_tag=tag, seed=cfg.train.seed)

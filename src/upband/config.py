@@ -59,12 +59,6 @@ DESK_PRESET = {
 
 
 def _coerce(raw: str, current):
-    if isinstance(current, bool):
-        if raw.lower() in ("true", "1", "yes"):
-            return True
-        if raw.lower() in ("false", "0", "no"):
-            return False
-        raise ConfigError(f"cannot parse boolean from {raw!r}")
     if isinstance(current, int):
         return int(raw)
     if isinstance(current, float):

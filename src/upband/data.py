@@ -140,29 +140,18 @@ class Corpus:
         return [self.root / item for item in self.items]
 
 
-def save_manifest(corpus: Corpus, path, splits: dict[str, str] | None = None) -> None:
-    lines = []
-    for item in corpus.items:
-        if splits and item in splits:
-            lines.append(f"{item}\t{splits[item]}")
-        else:
-            lines.append(item)
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+def save_manifest(corpus: Corpus, path) -> None:
+    Path(path).write_text("\n".join(corpus.items) + "\n", encoding="utf-8")
 
 
-def load_manifest(root, path) -> tuple[Corpus, dict[str, str]]:
-    items, splits = [], {}
+def load_manifest(root, path) -> Corpus:
+    """One relative path per line; a tab-separated second column is ignored."""
+    items = []
     for line in Path(path).read_text(encoding="utf-8").splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        if "\t" in line:
-            item, split = line.split("\t", 1)
-            splits[item] = split
-        else:
-            item = line
-        items.append(item)
-    return Corpus(root=Path(root), items=items), splits
+        item = line.strip().split("\t", 1)[0]
+        if item:
+            items.append(item)
+    return Corpus(root=Path(root), items=items)
 
 
 def split_corpus(corpus: Corpus, heldout_fraction: float | None = None,

@@ -116,58 +116,62 @@ def spectral_normalize(weight: Tensor, state: SpectralNormState, name: str,
 # initialization
 
 
-def _uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
-    bound = 1.0 / math.sqrt(fan_in)
-    return rng.uniform(-bound, bound, size=shape).astype(np.float32)
+def parameter_shapes(gen_cfg: GeneratorConfig,
+                     disc_cfg: DiscriminatorConfig) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of every parameter, in init order: the one declaration
+    of the parameter set, which ``init_parameters`` fills and checkpoint
+    loading checks a file against.
+
+    Keys carry no bias: it would shift every attention score of a query
+    by the same amount, which softmax ignores.
+    """
+    d, dff = gen_cfg.d_model, gen_cfg.d_ff
+    shapes = {"gen.in.w": (LOW_BINS, d), "gen.in.b": (d,)}
+    for i in range(gen_cfg.n_layers):
+        p = f"gen.L{i}"
+        shapes.update({f"{p}.ln1.g": (d,), f"{p}.ln1.b": (d,)})
+        shapes.update({f"{p}.attn.{nm}": (d, d) for nm in ("wq", "wk", "wv", "wo")})
+        shapes.update({f"{p}.attn.{nm}": (d,) for nm in ("bq", "bv", "bo")})
+        shapes.update({f"{p}.ln2.g": (d,), f"{p}.ln2.b": (d,),
+                       f"{p}.ff.w1": (d, dff), f"{p}.ff.b1": (dff,),
+                       f"{p}.ff.w2": (dff, d), f"{p}.ff.b2": (d,)})
+    shapes.update({"gen.lnf.g": (d,), "gen.lnf.b": (d,),
+                   "gen.out.w": (d, HIGH_BINS), "gen.out.b": (HIGH_BINS,)})
+    C, k = disc_cfg.channels, disc_cfg.kernel
+    for j, g in enumerate(disc_cfg.group_counts):
+        p = f"disc{j}"
+        shapes.update({f"{p}.proj.w": (C, N_BINS, 1), f"{p}.proj.b": (C,)})
+        for i in range(1, disc_cfg.n_layers + 1):
+            shapes.update({f"{p}.conv{i}.w": (C, C // g, k), f"{p}.conv{i}.b": (C,)})
+        shapes.update({f"{p}.out.w": (1, C, 1), f"{p}.out.b": (1,)})
+    return shapes
 
 
-def _param(params, name, array):
-    params[name] = Tensor(array, requires_grad=True)
+def is_spectrally_normalized(name: str) -> bool:
+    """Every discriminator weight, and nothing else, keeps a u vector."""
+    return name.startswith("disc") and name.endswith(".w")
 
 
 def init_parameters(gen_cfg: GeneratorConfig, disc_cfg: DiscriminatorConfig,
                     seed: int) -> tuple[dict[str, Tensor], SpectralNormState]:
-    """Deterministic fan-in-scaled uniform init; biases and LN shifts zero."""
+    """Deterministic fan-in-scaled uniform init of every weight; layer-norm
+    gains one, biases and shifts zero. A spectrally normalized weight's u
+    vector is drawn right after the weight."""
     rng = np.random.default_rng(seed)
     params: dict[str, Tensor] = {}
-    d, dff = gen_cfg.d_model, gen_cfg.d_ff
-
-    _param(params, "gen.in.w", _uniform(rng, (LOW_BINS, d), LOW_BINS))
-    _param(params, "gen.in.b", np.zeros(d, dtype=np.float32))
-    for i in range(gen_cfg.n_layers):
-        p = f"gen.L{i}"
-        _param(params, f"{p}.ln1.g", np.ones(d, dtype=np.float32))
-        _param(params, f"{p}.ln1.b", np.zeros(d, dtype=np.float32))
-        for nm in ("wq", "wk", "wv", "wo"):
-            _param(params, f"{p}.attn.{nm}", _uniform(rng, (d, d), d))
-        for nm in ("bq", "bk", "bv", "bo"):
-            _param(params, f"{p}.attn.{nm}", np.zeros(d, dtype=np.float32))
-        _param(params, f"{p}.ln2.g", np.ones(d, dtype=np.float32))
-        _param(params, f"{p}.ln2.b", np.zeros(d, dtype=np.float32))
-        _param(params, f"{p}.ff.w1", _uniform(rng, (d, dff), d))
-        _param(params, f"{p}.ff.b1", np.zeros(dff, dtype=np.float32))
-        _param(params, f"{p}.ff.w2", _uniform(rng, (dff, d), dff))
-        _param(params, f"{p}.ff.b2", np.zeros(d, dtype=np.float32))
-    _param(params, "gen.lnf.g", np.ones(d, dtype=np.float32))
-    _param(params, "gen.lnf.b", np.zeros(d, dtype=np.float32))
-    _param(params, "gen.out.w", _uniform(rng, (d, HIGH_BINS), d))
-    _param(params, "gen.out.b", np.zeros(HIGH_BINS, dtype=np.float32))
-
     sn = SpectralNormState()
-    C, k = disc_cfg.channels, disc_cfg.kernel
-    for j, g in enumerate(disc_cfg.group_counts):
-        p = f"disc{j}"
-        _param(params, f"{p}.proj.w", _uniform(rng, (C, N_BINS, 1), N_BINS))
-        _param(params, f"{p}.proj.b", np.zeros(C, dtype=np.float32))
-        sn.init(f"{p}.proj.w", C, rng)
-        for i in range(1, disc_cfg.n_layers + 1):
-            cin_g = C // g
-            _param(params, f"{p}.conv{i}.w", _uniform(rng, (C, cin_g, k), cin_g * k))
-            _param(params, f"{p}.conv{i}.b", np.zeros(C, dtype=np.float32))
-            sn.init(f"{p}.conv{i}.w", C, rng)
-        _param(params, f"{p}.out.w", _uniform(rng, (1, C, 1), C))
-        _param(params, f"{p}.out.b", np.zeros(1, dtype=np.float32))
-        sn.init(f"{p}.out.w", 1, rng)
+    for name, shape in parameter_shapes(gen_cfg, disc_cfg).items():
+        if len(shape) == 1:
+            fill = np.ones if name.endswith(".g") else np.zeros
+            array = fill(shape, dtype=np.float32)
+        else:
+            # linear weights are [d_in, d_out], conv weights [C_out, C_in/g, k]
+            fan_in = shape[0] if len(shape) == 2 else shape[1] * shape[2]
+            bound = 1.0 / math.sqrt(fan_in)
+            array = rng.uniform(-bound, bound, size=shape).astype(np.float32)
+        params[name] = Tensor(array, requires_grad=True)
+        if is_spectrally_normalized(name):
+            sn.init(name, shape[0], rng)
     # converge the singular-vector estimates before the first step
     with tt.no_grad():
         for name in sn.u:
@@ -227,7 +231,7 @@ def generator_forward(params: dict[str, Tensor], cfg: GeneratorConfig, low: Tens
         p = f"gen.L{i}"
         a = tt.layer_norm(h, params[f"{p}.ln1.g"], params[f"{p}.ln1.b"])
         q = tt.linear(a, params[f"{p}.attn.wq"], params[f"{p}.attn.bq"])
-        k = tt.linear(a, params[f"{p}.attn.wk"], params[f"{p}.attn.bk"])
+        k = tt.matmul(a, params[f"{p}.attn.wk"])
         v = tt.linear(a, params[f"{p}.attn.wv"], params[f"{p}.attn.bv"])
         q = tt.transpose(tt.reshape(q, (B, T, H, dh)), (0, 2, 1, 3))
         k = tt.transpose(tt.reshape(k, (B, T, H, dh)), (0, 2, 1, 3))

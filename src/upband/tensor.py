@@ -166,42 +166,14 @@ def mul(a, b) -> Tensor:
                    lambda g: (_unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)))
 
 
-def div(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    _check_binary_shapes(a, b, "div")
-    out = a.data / b.data
-    return _result(out, (a, b),
-                   lambda g: (_unbroadcast(g / b.data, a.shape),
-                              _unbroadcast(-g * a.data / (b.data * b.data), b.shape)))
-
-
 def neg(a) -> Tensor:
     a = _as_tensor(a)
     return _result(-a.data, (a,), lambda g: (-g,))
 
 
-def texp(a) -> Tensor:
-    a = _as_tensor(a)
-    out = np.exp(a.data)
-    return _result(out, (a,), lambda g: (g * out,))
-
-
-def tlog(a) -> Tensor:
-    a = _as_tensor(a)
-    if np.any(a.data <= 0):
-        raise NumericError("log: input must be strictly positive (clamp before taking log)")
-    return _result(np.log(a.data), (a,), lambda g: (g / a.data,))
-
-
 def tabs(a) -> Tensor:
     a = _as_tensor(a)
     return _result(np.abs(a.data), (a,), lambda g: (g * np.sign(a.data),))
-
-
-def relu(a) -> Tensor:
-    a = _as_tensor(a)
-    mask = a.data > 0
-    return _result(a.data * mask, (a,), lambda g: (g * mask,))
 
 
 def leaky_relu(a, slope: float = 0.2) -> Tensor:
@@ -280,20 +252,6 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
     splits = np.cumsum(sizes)[:-1]
     out = np.concatenate([t.data for t in tensors], axis=axis)
     return _result(out, tensors, lambda g: tuple(np.split(g, splits, axis=axis)))
-
-
-def narrow(a, axis: int, start: int, length: int) -> Tensor:
-    a = _as_tensor(a)
-    idx = [slice(None)] * a.ndim
-    idx[axis] = slice(start, start + length)
-    idx = tuple(idx)
-
-    def bwd(g):
-        full = np.zeros(a.shape, dtype=a.dtype)
-        full[idx] = g
-        return (full,)
-
-    return _result(np.ascontiguousarray(a.data[idx]), (a,), bwd)
 
 
 def add_constant(a, const: np.ndarray) -> Tensor:

@@ -19,7 +19,8 @@ from . import tensor as tt
 from .errors import CheckpointError, DataError, NumericError, ShapeError
 from .model import (DiscriminatorConfig, GeneratorConfig, SpectralNormState,
                     all_discriminators_forward, discriminator_parameter_names,
-                    generator_forward, generator_parameter_names, init_parameters)
+                    generator_forward, generator_parameter_names, init_parameters,
+                    is_spectrally_normalized, parameter_shapes)
 from .tensor import Tensor
 
 
@@ -302,23 +303,30 @@ def save_checkpoint(path, state: TrainState) -> None:
 
 def load_checkpoint(path, gen_cfg: GeneratorConfig, disc_cfg: DiscriminatorConfig,
                     train_cfg: TrainConfig) -> TrainState:
+    """Read a training state back. Every declared parameter and u vector must
+    be stored in its declared shape; tensors the declaration does not name,
+    such as the ``attn.bk`` key biases of older checkpoints, are ignored."""
     tensors = ckpt.load_tensors(path, expected_digest=_architecture_digest(gen_cfg, disc_cfg))
-    state = TrainState.fresh(gen_cfg, disc_cfg, train_cfg)
-    for name, p in state.params.items():
-        p.data = _stored(tensors, f"param/{name}", p.shape).astype(p.dtype)
-    for name, u in state.sn.u.items():
-        state.sn.u[name] = _stored(tensors, f"sn.u/{name}", u.shape)
-    for tag, adam in (("adam_g", state.adam_g), ("adam_d", state.adam_d)):
+    shapes = parameter_shapes(gen_cfg, disc_cfg)
+    params, sn = {}, SpectralNormState()
+    for name, shape in shapes.items():
+        stored = _stored(tensors, f"param/{name}", shape)
+        params[name] = Tensor(stored.astype(np.float32, copy=False), requires_grad=True)
+        if is_spectrally_normalized(name):
+            sn.u[name] = _stored(tensors, f"sn.u/{name}", shape[:1])
+    adam_g, adam_d = AdamState(), AdamState()
+    for tag, adam in (("adam_g", adam_g), ("adam_d", adam_d)):
         adam.t = int(_stored(tensors, f"{tag}.t").reshape(-1)[0])
-        for name, p in state.params.items():
+        for name, shape in shapes.items():
             for kind, moments in (("m", adam.m), ("v", adam.v)):
                 key = f"{tag}.{kind}/{name}"
                 if key in tensors:
-                    moments[name] = _stored(tensors, key, p.shape).copy()
-    state.step = int(_stored(tensors, "step").reshape(-1)[0])
-    rng_state = json.loads(bytes(_stored(tensors, "rng")).decode("utf-8"))
-    state.rng.bit_generator.state = rng_state
-    return state
+                    moments[name] = _stored(tensors, key, shape)
+    step = int(_stored(tensors, "step").reshape(-1)[0])
+    rng = np.random.default_rng(train_cfg.seed)
+    rng.bit_generator.state = json.loads(bytes(_stored(tensors, "rng")).decode("utf-8"))
+    return TrainState(params=params, sn=sn, adam_g=adam_g, adam_d=adam_d, gen_cfg=gen_cfg,
+                      disc_cfg=disc_cfg, train_cfg=train_cfg, rng=rng, step=step)
 
 
 def train_loop(dataset, gen_cfg: GeneratorConfig, disc_cfg: DiscriminatorConfig,

@@ -117,7 +117,7 @@ class TestSynthCorpus:
             assert ia.read_bytes() == ib.read_bytes()
 
     def test_high_band_energy_fraction(self, synth_corpus_dir):
-        corpus, _ = data.load_manifest(synth_corpus_dir, synth_corpus_dir / "manifest.txt")
+        corpus = data.load_manifest(synth_corpus_dir, synth_corpus_dir / "manifest.txt")
         for path in corpus.paths():
             buf = data.read_wav(path)
             spec = np.abs(np.fft.rfft(buf.samples)) ** 2
@@ -132,7 +132,7 @@ class TestSynthCorpus:
     def test_lookup_regressor_beats_baseline(self, synth_corpus_dir):
         # nearest-neighbor on low-band frames: if the task is learnable at
         # all, even this trivial model must beat plain interpolation
-        corpus, _ = data.load_manifest(synth_corpus_dir, synth_corpus_dir / "manifest.txt")
+        corpus = data.load_manifest(synth_corpus_dir, synth_corpus_dir / "manifest.txt")
         train, held = data.split_corpus(corpus, heldout_fraction=0.25, seed=0)
         examples = data.load_examples(train)
         keys = np.concatenate([ex.low_log_mag[::4] for ex in examples])
@@ -176,13 +176,16 @@ class TestSplitAndManifest:
 
     def test_manifest_round_trip(self, tmp_path):
         c = data.Corpus(root=tmp_path, items=["x.wav", "y.wav"])
-        data.save_manifest(c, tmp_path / "m.txt", splits={"y.wav": "held"})
-        back, splits = data.load_manifest(tmp_path, tmp_path / "m.txt")
+        data.save_manifest(c, tmp_path / "m.txt")
+        back = data.load_manifest(tmp_path, tmp_path / "m.txt")
         assert back.items == ["x.wav", "y.wav"]
-        assert splits == {"y.wav": "held"}
+
+    def test_manifest_second_column_ignored(self, tmp_path):
+        (tmp_path / "m.txt").write_text("x.wav\theld\n\ny.wav\n", encoding="utf-8")
+        assert data.load_manifest(tmp_path, tmp_path / "m.txt").items == ["x.wav", "y.wav"]
 
     def test_load_examples_leakage_guard(self, synth_corpus_dir):
-        corpus, _ = data.load_manifest(synth_corpus_dir, synth_corpus_dir / "manifest.txt")
+        corpus = data.load_manifest(synth_corpus_dir, synth_corpus_dir / "manifest.txt")
         with pytest.raises(DataError):
             data.load_examples(corpus, exclude=data.Corpus(synth_corpus_dir,
                                                            corpus.items[:1]))

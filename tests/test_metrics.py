@@ -75,7 +75,7 @@ class TestEvalReport:
 
 class TestEvaluateCorpus:
     def test_deterministic(self, synth_corpus_dir):
-        corpus, _ = data.load_manifest(synth_corpus_dir, synth_corpus_dir / "manifest.txt")
+        corpus = data.load_manifest(synth_corpus_dir, synth_corpus_dir / "manifest.txt")
         files = corpus.paths()[:2]
         a = evaluate_corpus(None, files, data.read_wav)
         b = evaluate_corpus(None, files, data.read_wav)
@@ -83,7 +83,7 @@ class TestEvaluateCorpus:
         assert a.n_files == 2
 
     def test_overlap_with_train_rejected(self, synth_corpus_dir):
-        corpus, _ = data.load_manifest(synth_corpus_dir, synth_corpus_dir / "manifest.txt")
+        corpus = data.load_manifest(synth_corpus_dir, synth_corpus_dir / "manifest.txt")
         files = corpus.paths()[:2]
         with pytest.raises(DataError):
             evaluate_corpus(None, files, data.read_wav, train_files=files[:1])
@@ -95,6 +95,6 @@ class TestEvaluateCorpus:
     def test_baseline_lsd_in_expected_band(self, synth_corpus_dir):
         # broadband synthetic material loses its whole upper band: the sinc
         # baseline should land far from zero
-        corpus, _ = data.load_manifest(synth_corpus_dir, synth_corpus_dir / "manifest.txt")
+        corpus = data.load_manifest(synth_corpus_dir, synth_corpus_dir / "manifest.txt")
         rep = evaluate_corpus(None, corpus.paths()[:2], data.read_wav)
         assert rep.lsd_mean > 1.0

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from upband import dsp, model, tensor as tt
+from upband import config, dsp, model, tensor as tt
 from upband.errors import ConfigError, ShapeError
 from upband.model import (DiscriminatorConfig, GeneratorConfig, SpectralNormState,
                           all_discriminators_forward, discriminator_forward,
                           generator_forward, init_parameters, parameter_count,
-                          spectral_normalize)
+                          parameter_shapes, spectral_normalize)
 from upband.tensor import Tensor
 
 from conftest import tiny_disc_cfg, tiny_gen_cfg
@@ -48,7 +48,7 @@ class TestInit:
         gen_expected = (dsp.LOW_BINS * d + d)                      # input projection
         gen_expected += gen.n_layers * (
             2 * d                                                  # ln1
-            + 4 * d * d + 4 * d                                    # attention
+            + 4 * d * d + 3 * d                                    # attention, no key bias
             + 2 * d                                                # ln2
             + d * dff + dff + dff * d + d)                         # feed-forward
         gen_expected += 2 * d                                      # final ln
@@ -62,6 +62,16 @@ class TestInit:
         assert parameter_count(params, "gen.") == gen_expected
         assert parameter_count(params, "disc") == disc_expected
         assert parameter_count(params) == gen_expected + disc_expected
+
+    @pytest.mark.parametrize("preset", ["desk", "default"])
+    def test_parameters_follow_declaration(self, preset):
+        cfg = config.load_config(None, preset=preset)
+        shapes = parameter_shapes(cfg.generator, cfg.discriminator)
+        params, sn = init_parameters(cfg.generator, cfg.discriminator, seed=0)
+        assert list(params) == list(shapes)
+        assert all(params[name].shape == shape for name, shape in shapes.items())
+        assert list(sn.u) == [n for n in shapes if n.startswith("disc") and n.endswith(".w")]
+        assert not any(n.endswith("attn.bk") for n in shapes)
 
 
 class TestGenerator:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from upband import checkpoint, tensor as tt, training
+from upband import checkpoint, model, tensor as tt, training
 from upband.errors import CheckpointError, NumericError, ShapeError
 from upband.model import (all_discriminators_forward, discriminator_forward,
                           generator_forward, generator_parameter_names,
@@ -232,6 +232,38 @@ class TestCheckpoint:
                                  state.train_cfg)
         for name in state.params:
             np.testing.assert_array_equal(loaded.params[name].data, state.params[name].data)
+
+    def test_load_does_no_init_work(self, small_examples, tmp_path, monkeypatch):
+        state = self._trained_state(small_examples, steps=1)
+        path = tmp_path / "ck.nug"
+        save_checkpoint(path, state)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("checkpoint loading ran init work")
+
+        monkeypatch.setattr(training, "init_parameters", refuse)
+        monkeypatch.setattr(model, "spectral_normalize", refuse)
+        loaded = load_checkpoint(path, state.gen_cfg, state.disc_cfg, state.train_cfg)
+        for name in state.params:
+            np.testing.assert_array_equal(loaded.params[name].data, state.params[name].data)
+
+    def test_key_bias_of_older_checkpoints_ignored(self, small_examples, tmp_path):
+        state = self._trained_state(small_examples, steps=1)
+        path = tmp_path / "ck.nug"
+        save_checkpoint(path, state)
+
+        def add_key_biases(tensors):
+            d = state.gen_cfg.d_model
+            for i in range(state.gen_cfg.n_layers):
+                for prefix in ("param", "adam_g.m", "adam_g.v"):
+                    tensors[f"{prefix}/gen.L{i}.attn.bk"] = np.zeros(d, dtype=np.float32)
+
+        self._rewrite(path, add_key_biases)
+        loaded = load_checkpoint(path, state.gen_cfg, state.disc_cfg, state.train_cfg)
+        assert list(loaded.params) == list(state.params)
+        for name in state.params:
+            np.testing.assert_array_equal(loaded.params[name].data, state.params[name].data)
+        assert list(loaded.adam_g.m) == list(state.adam_g.m)
 
     @staticmethod
     def _rewrite(path, edit):
