@@ -10,6 +10,8 @@ unknown versions and mismatched config digests.
 from __future__ import annotations
 
 import hashlib
+import math
+import os
 import struct
 from pathlib import Path
 
@@ -51,44 +53,47 @@ def save_tensors(path, tensors: dict[str, np.ndarray], digest: bytes) -> None:
 
 
 def load_tensors(path, expected_digest: bytes | None = None) -> dict[str, np.ndarray]:
+    """Read every tensor record, each from the file straight into its own
+    owned, writable array."""
     path = Path(path)
     try:
-        blob = path.read_bytes()
+        f = open(path, "rb")
     except OSError as exc:
         raise CheckpointError(f"checkpoint: cannot read {path}: {exc}") from exc
-    if blob[:4] != MAGIC:
-        raise CheckpointError(f"checkpoint: bad magic in {path}")
-    (version,) = struct.unpack_from("<I", blob, 4)
-    if version != VERSION:
-        raise CheckpointError(f"checkpoint: unknown format version {version} "
-                              f"(reader supports {VERSION})")
-    digest = blob[8:40]
-    if expected_digest is not None and digest != expected_digest:
-        raise CheckpointError("checkpoint: config digest mismatch "
-                              "(file was written with a different configuration)")
-    tensors: dict[str, np.ndarray] = {}
-    off = 40
-    while off < len(blob):
-        try:
-            (nlen,) = struct.unpack_from("<I", blob, off)
-            off += 4
-            name = blob[off:off + nlen].decode("utf-8")
-            off += nlen
-            (rank,) = struct.unpack_from("<I", blob, off)
-            off += 4
-            dims = struct.unpack_from(f"<{rank}Q", blob, off) if rank else ()
-            off += 8 * rank
-            (tag,) = struct.unpack_from("<B", blob, off)
-            off += 1
+    with f:
+        size = os.fstat(f.fileno()).st_size
+
+        def fits(n: int, what: str) -> int:
+            # checked before reading, so a damaged length cannot ask for
+            # more memory than the file holds
+            if f.tell() + n > size:
+                raise CheckpointError(f"checkpoint: truncated {what}")
+            return n
+
+        if f.read(4) != MAGIC:
+            raise CheckpointError(f"checkpoint: bad magic in {path}")
+        (version,) = struct.unpack("<I", f.read(fits(4, "header")))
+        if version != VERSION:
+            raise CheckpointError(f"checkpoint: unknown format version {version} "
+                                  f"(reader supports {VERSION})")
+        digest = f.read(fits(32, "header"))
+        if expected_digest is not None and digest != expected_digest:
+            raise CheckpointError("checkpoint: config digest mismatch "
+                                  "(file was written with a different configuration)")
+        tensors: dict[str, np.ndarray] = {}
+        while f.tell() < size:
+            record = f"record at offset {f.tell()}"
+            (nlen,) = struct.unpack("<I", f.read(fits(4, record)))
+            name = f.read(fits(nlen, record)).decode("utf-8")
+            (rank,) = struct.unpack("<I", f.read(fits(4, record)))
+            dims = struct.unpack(f"<{rank}Q", f.read(fits(8 * rank, record)))
+            (tag,) = f.read(fits(1, record))
             dtype = _TAG_DTYPES.get(tag)
             if dtype is None:
                 raise CheckpointError(f"checkpoint: unknown dtype tag {tag} for {name!r}")
-            nbytes = int(np.prod(dims, dtype=np.int64)) * dtype.itemsize if rank else dtype.itemsize
-            raw = blob[off:off + nbytes]
-            if len(raw) != nbytes:
+            nbytes = fits(math.prod(dims) * dtype.itemsize, f"data for {name!r}")
+            arr = np.empty(dims, dtype=dtype)
+            if f.readinto(arr.reshape(-1).view(np.uint8)) != nbytes:
                 raise CheckpointError(f"checkpoint: truncated data for {name!r}")
-            off += nbytes
-            tensors[name] = np.frombuffer(raw, dtype=dtype).reshape(dims).copy()
-        except struct.error as exc:
-            raise CheckpointError(f"checkpoint: truncated record at offset {off}") from exc
+            tensors[name] = arr
     return tensors

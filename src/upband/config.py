@@ -50,9 +50,9 @@ _SECTIONS = {
 }
 
 # reduced widths for CPU-scale experiments; 128 channels forces the top
-# group count down from 256 (divisibility)
+# group count down from 256 (divisibility); max_frames follows batch_frames
 DESK_PRESET = {
-    "generator": {"d_model": 128, "n_heads": 4, "d_ff": 512},
+    "generator": {"d_model": 128, "n_heads": 4, "d_ff": 512, "max_frames": 64},
     "discriminator": {"channels": 128, "group_counts": (1, 4, 16, 64, 128)},
     "train": {"batch_size": 4, "batch_frames": 64},
 }

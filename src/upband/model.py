@@ -33,7 +33,7 @@ class GeneratorConfig:
     d_model: int = 512
     n_heads: int = 8
     d_ff: int = 2048
-    max_frames: int = 4096
+    max_frames: int = 128
 
     def __post_init__(self):
         if self.d_model % self.n_heads != 0:
@@ -206,19 +206,16 @@ def sinusoidal_positions(n_frames: int, d_model: int) -> np.ndarray:
 
 
 def generator_forward(params: dict[str, Tensor], cfg: GeneratorConfig, low: Tensor) -> Tensor:
-    """Map log magnitudes [T, LOW_BINS] (or [B, T, LOW_BINS]) to [T, HIGH_BINS].
+    """Map log magnitudes [B, T, LOW_BINS] to [B, T, HIGH_BINS].
 
     Attention is bidirectional (no causal mask); every output frame may
-    depend on every input frame.
+    depend on every input frame of its sequence.
     """
-    squeeze = low.ndim == 2
-    if squeeze:
-        low = tt.reshape(low, (1,) + low.shape)
     B, T, bins = low.shape
     if bins != LOW_BINS:
         raise ShapeError(f"generator_forward: expected {LOW_BINS} input bins, got {bins}")
     if T > cfg.max_frames:
-        raise ShapeError(f"generator_forward: {T} frames exceeds positional horizon "
+        raise ShapeError(f"generator_forward: {T} frames exceeds the context length "
                          f"{cfg.max_frames}")
     d, H = cfg.d_model, cfg.n_heads
     dh = d // H
@@ -248,22 +245,24 @@ def generator_forward(params: dict[str, Tensor], cfg: GeneratorConfig, low: Tens
         h = tt.add(h, f)
 
     h = tt.layer_norm(h, params["gen.lnf.g"], params["gen.lnf.b"])
-    out = tt.linear(h, params["gen.out.w"], params["gen.out.b"])
-    if squeeze:
-        out = tt.reshape(out, (T, HIGH_BINS))
-    return out
+    return tt.linear(h, params["gen.out.w"], params["gen.out.b"])
 
 
 def make_generator_fn(params: dict[str, Tensor], cfg: GeneratorConfig):
-    """Inference closure: numpy [T, LOW_BINS] -> numpy [T, HIGH_BINS], chunked."""
+    """Inference closure: numpy [T, LOW_BINS] -> numpy [T, HIGH_BINS], run as
+    one batch of n = ceil(T / max_frames) equal windows, the training context,
+    the last ending at frame T; fewer than n frames fall in two windows."""
 
     def fn(low_log_mag: np.ndarray) -> np.ndarray:
-        chunks = []
+        T = low_log_mag.shape[0]
+        n = -(-T // cfg.max_frames)
+        L = -(-T // n)
+        frames = np.minimum(np.arange(n) * L, T - L)[:, None] + np.arange(L)
         with tt.no_grad():
-            for start in range(0, low_log_mag.shape[0], cfg.max_frames):
-                piece = Tensor(low_log_mag[start:start + cfg.max_frames])
-                chunks.append(generator_forward(params, cfg, piece).data)
-        return np.concatenate(chunks, axis=0)
+            pred = generator_forward(params, cfg, Tensor(low_log_mag[frames])).data
+        out = np.empty((T, HIGH_BINS), dtype=pred.dtype)
+        out[frames] = pred
+        return out
 
     return fn
 

@@ -15,13 +15,18 @@ from .dsp import AudioBuffer, LogMagnitude
 
 def upsample_buffer(audio: AudioBuffer, model_fn=None) -> AudioBuffer:
     """Upsample ``audio`` by 2; ``model_fn`` of None gives the plain
-    sinc-interpolation baseline."""
+    sinc-interpolation baseline. The model path zero-pads a signal shorter
+    than one STFT frame to one and trims the result back."""
     interp = dsp.sinc_upsample(audio, 2)
     if model_fn is None:
         return interp
+    n = len(interp)
+    if n < dsp.N_FFT:
+        interp = AudioBuffer(np.pad(interp.samples, (0, dsp.N_FFT - n)), interp.sample_rate)
     spec = dsp.stft(interp)
     magnitude, phase = dsp.split_mag_phase(spec)
     log_mag = dsp.to_log_magnitude(magnitude)
     low = LogMagnitude(log_mag.data[:, :dsp.LOW_BINS])
     high = LogMagnitude(np.asarray(model_fn(low.data), dtype=np.float64))
-    return dsp.reconstruct_full(low, high, phase, interp.sample_rate)
+    out = dsp.reconstruct_full(low, high, phase, interp.sample_rate)
+    return AudioBuffer(out.samples[:n], out.sample_rate)

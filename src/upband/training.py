@@ -264,8 +264,8 @@ def _architecture_digest(gen_cfg: GeneratorConfig, disc_cfg: DiscriminatorConfig
     """Digest of the config fields that shape the weights.
 
     Training hyperparameters may differ between the run that wrote a
-    checkpoint and the one reading it, and ``max_frames`` only bounds the
-    inference chunk length.
+    checkpoint and the one reading it, and ``max_frames``, the context
+    length, sets no weight's shape.
     """
     gen = {f.name: getattr(gen_cfg, f.name) for f in fields(gen_cfg) if f.name != "max_frames"}
     return ckpt.config_digest(gen, asdict(disc_cfg))

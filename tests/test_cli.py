@@ -44,6 +44,11 @@ class TestConfig:
         assert cfg.discriminator.channels == 128
         assert cfg.discriminator.group_counts[-1] == 128
 
+    @pytest.mark.parametrize("preset", ["default", "desk"])
+    def test_context_length_is_training_window(self, preset):
+        cfg = load_config(None, preset=preset)
+        assert cfg.generator.max_frames == cfg.train.batch_frames
+
     def test_unknown_preset(self):
         with pytest.raises(ConfigError):
             load_config(None, preset="laptop")
@@ -146,6 +151,20 @@ class TestCliUpsample:
         buf = data.read_wav(out)
         assert buf.sample_rate == 44100
         assert len(buf) == 2 * 11025
+
+    def test_clip_shorter_than_one_frame(self, tmp_path):
+        cfg_path = write_cfg(tmp_path)
+        cfg = load_config(cfg_path)
+        ck = tmp_path / "ck.nug"
+        training.save_checkpoint(ck, training.TrainState.fresh(cfg.generator,
+                                                               cfg.discriminator, cfg.train))
+        src = self._low_rate_wav(tmp_path, 0.3 * np.sin(np.arange(300) / 5))
+        out = tmp_path / "out.wav"
+        assert cli.main(["upsample", "--config", cfg_path, "--checkpoint", str(ck),
+                         str(src), str(out)]) == 0
+        buf = data.read_wav(out)
+        assert buf.sample_rate == 44100
+        assert len(buf) == 600
 
     def test_silence_in_silence_out(self, tmp_path):
         src = self._low_rate_wav(tmp_path, np.zeros(8192))

@@ -82,8 +82,8 @@ class TestGenerator:
         x = rng.normal(size=(12, 257)).astype(np.float32)
         perm = rng.permutation(12)
         with tt.no_grad():
-            base = generator_forward(params, gen, Tensor(x)).data
-            permuted = generator_forward(params, gen, Tensor(x[perm])).data
+            base = generator_forward(params, gen, Tensor(x[None])).data[0]
+            permuted = generator_forward(params, gen, Tensor(x[None, perm])).data[0]
         unpermuted = np.empty_like(permuted)
         unpermuted[perm] = permuted
         assert np.max(np.abs(base - unpermuted)) > 1e-4
@@ -92,15 +92,15 @@ class TestGenerator:
         gen = tiny_gen_cfg()
         params, _ = init_parameters(gen, tiny_disc_cfg(), seed=1)
         with tt.no_grad():
-            out = generator_forward(params, gen, Tensor(np.zeros((8, 257))))
-        assert out.shape == (8, 256)
+            out = generator_forward(params, gen, Tensor(np.zeros((1, 8, 257))))
+        assert out.shape == (1, 8, 256)
         assert np.all(np.isfinite(out.data))
 
     def test_wrong_bin_count_rejected(self):
         gen = tiny_gen_cfg()
         params, _ = init_parameters(gen, tiny_disc_cfg(), seed=1)
         with pytest.raises(ShapeError):
-            generator_forward(params, gen, Tensor(np.zeros((8, 200))))
+            generator_forward(params, gen, Tensor(np.zeros((1, 8, 200))))
 
     def test_batched_matches_single(self):
         gen = tiny_gen_cfg()
@@ -109,8 +109,43 @@ class TestGenerator:
         x = rng.normal(size=(2, 6, 257)).astype(np.float32)
         with tt.no_grad():
             batched = generator_forward(params, gen, Tensor(x)).data
-            single = generator_forward(params, gen, Tensor(x[1])).data
-        np.testing.assert_allclose(batched[1], single, atol=1e-5)
+            single = generator_forward(params, gen, Tensor(x[1:])).data
+        np.testing.assert_allclose(batched[1], single[0], atol=1e-5)
+
+
+class TestGeneratorFn:
+    W = 8
+
+    def _setup(self):
+        gen = tiny_gen_cfg(max_frames=self.W)
+        params, _ = init_parameters(gen, tiny_disc_cfg(), seed=1)
+        return gen, params, model.make_generator_fn(params, gen)
+
+    @pytest.mark.parametrize("T", [1, W - 1, W, W + 1, 2 * W + 3, 5 * W])
+    def test_output_shape(self, T):
+        _, _, fn = self._setup()
+        out = fn(np.random.default_rng(T).normal(size=(T, dsp.LOW_BINS)))
+        assert out.shape == (T, dsp.HIGH_BINS)
+        assert np.all(np.isfinite(out))
+
+    @pytest.mark.parametrize("T", [1, W - 1, W])
+    def test_one_window_is_whole_sequence(self, T):
+        gen, params, fn = self._setup()
+        x = np.random.default_rng(T).normal(size=(T, dsp.LOW_BINS))
+        with tt.no_grad():
+            whole = generator_forward(params, gen, Tensor(x[None])).data[0]
+        np.testing.assert_array_equal(fn(x), whole)
+
+    def test_prediction_sees_only_its_window(self):
+        _, _, fn = self._setup()
+        T = 3 * self.W + 2  # four windows of seven frames
+        x = np.random.default_rng(0).normal(size=(T, dsp.LOW_BINS))
+        base = fn(x)
+        x[2] += 5.0
+        moved = fn(x)
+        L = -(-T // 4)
+        assert np.max(np.abs(moved[:L] - base[:L])) > 1e-4
+        np.testing.assert_array_equal(moved[L:], base[L:])
 
 
 class TestDiscriminator:

@@ -1,3 +1,5 @@
+import zlib
+
 import numpy as np
 import pytest
 
@@ -205,7 +207,7 @@ class TestBackward:
     ("linear", lambda x: tt.tsum(tt.linear(x[0], x[1], x[2])), [(3, 4), (4, 2), (2,)]),
 ])
 def test_primitive_gradcheck(name, fn, shapes):
-    rng = np.random.default_rng(abs(hash(name)) % 2 ** 31)
+    rng = np.random.default_rng(zlib.crc32(name.encode()))
     ins = [t64(rng.normal(size=s)) for s in shapes]
     err = tt.check_gradients(fn, ins, rel_tol=1e-6)
     assert err < 1e-6

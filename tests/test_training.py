@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -300,6 +302,32 @@ class TestCheckpoint:
         path.write_bytes(bytes(blob))
         with pytest.raises(CheckpointError):
             load_checkpoint(path, state.gen_cfg, state.disc_cfg, state.train_cfg)
+
+    def test_load_tensors_owned_and_writable(self, tmp_path):
+        path = tmp_path / "t.nug"
+        tensors = {"w": np.arange(12, dtype=np.float32).reshape(3, 4),
+                   "t": np.array([7], dtype=np.int64)}
+        checkpoint.save_tensors(path, tensors, bytes(32))
+        loaded = checkpoint.load_tensors(path, bytes(32))
+        for name, arr in tensors.items():
+            np.testing.assert_array_equal(loaded[name], arr)
+            assert loaded[name].flags.owndata and loaded[name].flags.writeable
+            assert loaded[name].flags.aligned
+        loaded["w"] += 1.0  # Adam updates its moments in place
+
+    def test_truncated_mid_tensor_rejected(self, tmp_path):
+        path = tmp_path / "t.nug"
+        checkpoint.save_tensors(path, {"w": np.ones((64, 64), np.float32)}, bytes(32))
+        path.write_bytes(path.read_bytes()[:-100])
+        with pytest.raises(CheckpointError, match="truncated data for 'w'"):
+            checkpoint.load_tensors(path)
+
+    def test_damaged_name_length_rejected(self, tmp_path):
+        path = tmp_path / "t.nug"
+        header = checkpoint.MAGIC + struct.pack("<I", checkpoint.VERSION) + bytes(32)
+        path.write_bytes(header + struct.pack("<I", 2 ** 32 - 1) + b"w")
+        with pytest.raises(CheckpointError, match="truncated record at offset 40"):
+            checkpoint.load_tensors(path)
 
     def test_truncated_rejected(self, small_examples, tmp_path):
         state = self._trained_state(small_examples, steps=1)
