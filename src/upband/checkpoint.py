@@ -39,7 +39,7 @@ def save_tensors(path, tensors: dict[str, np.ndarray], digest: bytes) -> None:
         f.write(struct.pack("<I", VERSION))
         f.write(digest)
         for name, arr in tensors.items():
-            arr = np.ascontiguousarray(arr)
+            arr = np.asarray(arr)
             if arr.dtype not in _DTYPE_TAGS:
                 raise CheckpointError(f"checkpoint: unsupported dtype {arr.dtype} for {name!r}")
             encoded = name.encode("utf-8")

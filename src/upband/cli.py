@@ -11,9 +11,7 @@ import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from . import data, dsp, metrics, model, tensor as tt, training
+from . import data, metrics, model, selfcheck, training
 from .config import RunConfig, load_config, render_config
 from .errors import ConfigError, DataError, NumericError, UpbandError
 from .pipeline import upsample_buffer
@@ -104,108 +102,8 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-# ---------------------------------------------------------------------------
-# self-check suites
-
-
-def _suite_gradcheck():
-    rng = np.random.default_rng(7)
-    cases = [
-        ("matmul", lambda ins: tt.tsum(tt.matmul(ins[0], ins[1])),
-         [(3, 4), (4, 2)]),
-        ("conv1d_grouped", lambda ins: tt.tsum(
-            tt.conv1d_grouped(ins[0], ins[1], ins[2], stride=2, padding=1, groups=4)),
-         [(8, 12), (8, 2, 4), (8,)]),
-        ("softmax", lambda ins: tt.tsum(tt.mul(tt.softmax(ins[0]), ins[1])),
-         [(4, 6), (4, 6)]),
-        ("layer_norm", lambda ins: tt.tsum(tt.mul(
-            tt.layer_norm(ins[0], ins[1], ins[2]), ins[3])),
-         [(3, 8), (8,), (8,), (3, 8)]),
-    ]
-    for name, fn, shapes in cases:
-        inputs = [tt.Tensor(rng.normal(size=s), requires_grad=True, dtype=np.float64)
-                  for s in shapes]
-        tt.check_gradients(fn, inputs, rel_tol=1e-6)
-
-
-def _suite_stft_roundtrip():
-    rng = np.random.default_rng(11)
-    x = rng.normal(size=44100) * 0.1
-    y = dsp.istft(dsp.stft(dsp.AudioBuffer(x, 44100)))
-    n = min(len(y), len(x))
-    c = slice(1024, n - 1024)
-    err = np.linalg.norm(y.samples[c] - x[c]) / np.linalg.norm(x[c])
-    if err > 1e-4:
-        raise NumericError(f"stft roundtrip: relative error {err:.2e} > 1e-4")
-
-
-def _suite_sinc():
-    sr, n = 22050, 22050
-    t = np.arange(n) / sr
-    x = 0.5 * np.sin(2 * np.pi * 1000 * t)
-    up = dsp.sinc_upsample(dsp.AudioBuffer(x, sr), 2)
-    t2 = np.arange(2 * n) / (2 * sr)
-    ref = 0.5 * np.sin(2 * np.pi * 1000 * t2)
-    c = slice(int(0.1 * 2 * n), int(0.9 * 2 * n))
-    err = np.max(np.abs(up.samples[c] - ref[c]))
-    if err > 1e-3:
-        raise NumericError(f"sinc: 1 kHz tone max error {err:.2e} > 1e-3")
-
-
-def _suite_lsd():
-    rng = np.random.default_rng(3)
-    for _ in range(3):
-        x = dsp.AudioBuffer(rng.normal(size=16384) * 0.2, 44100)
-        y = dsp.AudioBuffer(rng.normal(size=16384) * 0.2, 44100)
-        fast, direct = metrics.lsd(x, y), metrics.lsd_direct(x, y)
-        if abs(fast - direct) > 1e-9:
-            raise NumericError(f"lsd: optimized vs direct differ by {abs(fast - direct):.2e}")
-
-
-def _suite_spectral_norm():
-    rng = np.random.default_rng(5)
-    state = model.SpectralNormState()
-    state.init("w", 16, rng)
-    w = tt.Tensor(rng.normal(size=(16, 16)), requires_grad=True)
-    for _ in range(50):
-        model.spectral_normalize(w, state, "w", update=True)
-    normalized = model.spectral_normalize(w, state, "w", update=False)
-    sigma = np.linalg.svd(normalized.data, compute_uv=False)[0]
-    if not 0.95 <= sigma <= 1.05:
-        raise NumericError(f"spectral norm: sigma {sigma:.4f} outside [0.95, 1.05]")
-
-
-def _suite_group_independence():
-    rng = np.random.default_rng(9)
-    for g in (4, 16, 64):
-        c, t = 64, 16
-        x = rng.normal(size=(c, t)).astype(np.float32)
-        w = tt.Tensor(rng.normal(size=(c, c // g, 4)).astype(np.float32))
-        b = tt.Tensor(np.zeros(c, dtype=np.float32))
-        with tt.no_grad():
-            base = tt.conv1d_grouped(tt.Tensor(x), w, b, stride=2, padding=1, groups=g).data
-            x2 = x.copy()
-            x2[c // g:2 * c // g] += 1.0  # perturb group 1 only
-            out2 = tt.conv1d_grouped(tt.Tensor(x2), w, b, stride=2, padding=1, groups=g).data
-        changed = np.any(base != out2, axis=1)
-        expect = np.zeros(c, dtype=bool)
-        expect[c // g:2 * c // g] = True
-        if not np.array_equal(np.nonzero(changed)[0], np.nonzero(expect)[0]):
-            raise NumericError(f"group independence violated at groups={g}")
-
-
-_SUITES = [
-    ("gradcheck", _suite_gradcheck),
-    ("stft_roundtrip", _suite_stft_roundtrip),
-    ("sinc_oracle", _suite_sinc),
-    ("lsd_oracle", _suite_lsd),
-    ("spectral_norm", _suite_spectral_norm),
-    ("group_independence", _suite_group_independence),
-]
-
-
 def cmd_check(args) -> int:
-    for name, suite in _SUITES:
+    for name, suite in selfcheck.SUITES:
         try:
             suite()
         except Exception as exc:

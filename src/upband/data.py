@@ -117,8 +117,8 @@ def make_pair(high: AudioBuffer, source: str = "") -> TrainingExample:
     truth = AudioBuffer(high.samples[:n_even], high.sample_rate)
     interp = dsp.sinc_upsample(dsp.downsample(truth, 2), 2)
 
-    low = dsp.to_log_magnitude(np.abs(dsp.stft(interp).data)).data[:, :LOW_BINS]
-    high_bins = dsp.to_log_magnitude(np.abs(dsp.stft(truth).data)).data[:, LOW_BINS:]
+    low = dsp.to_log_magnitude(np.abs(dsp.stft(interp).data))[:, :LOW_BINS]
+    high_bins = dsp.to_log_magnitude(np.abs(dsp.stft(truth).data))[:, LOW_BINS:]
 
     if not (np.all(np.isfinite(low)) and np.all(np.isfinite(high_bins))):
         raise DataError(f"make_pair: non-finite spectrogram values from {source or 'input'}")

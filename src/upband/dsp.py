@@ -1,9 +1,9 @@
 """Waveform and spectrogram processing.
 
 Covers the signal path around the model: windowed-sinc upsampling and
-anti-aliased decimation, centered STFT / least-squares iSTFT, magnitude
-and phase splitting, log scaling, and full-band reconstruction that
-reuses the interpolated signal's phase.
+anti-aliased decimation, centered STFT / least-squares iSTFT, log
+magnitudes, and full-band reconstruction that reuses the interpolated
+signal's phase.
 """
 
 from __future__ import annotations
@@ -72,18 +72,6 @@ class ComplexSpectrogram:
     @property
     def frames(self) -> int:
         return self.data.shape[0]
-
-
-@dataclass
-class LogMagnitude:
-    """Natural-log magnitudes, floored at LOG_MAG_FLOOR before the log."""
-
-    data: np.ndarray          # [T, F] real
-
-
-@dataclass
-class Phase:
-    data: np.ndarray          # [T, F] radians in (-pi, pi]
 
 
 def _hann_periodic(n: int) -> np.ndarray:
@@ -204,40 +192,29 @@ def istft(spec: ComplexSpectrogram) -> AudioBuffer:
     return AudioBuffer(y[pad:length - pad], spec.sample_rate)
 
 
-def split_mag_phase(spec: ComplexSpectrogram) -> tuple[np.ndarray, Phase]:
-    magnitude = np.abs(spec.data)
-    phase = np.angle(spec.data)  # in (-pi, pi]; angle(0) == 0 by convention
-    return magnitude, Phase(phase)
+def to_log_magnitude(magnitude: np.ndarray) -> np.ndarray:
+    """Natural-log magnitudes, floored at LOG_MAG_FLOOR before the log."""
+    return np.log(np.maximum(magnitude, LOG_MAG_FLOOR))
 
 
-def recombine(magnitude: np.ndarray, phase: Phase, n_fft: int, hop: int,
-              sample_rate: int) -> ComplexSpectrogram:
-    return ComplexSpectrogram(magnitude * np.exp(1j * phase.data), n_fft=n_fft,
-                              hop=hop, sample_rate=sample_rate)
-
-
-def to_log_magnitude(magnitude: np.ndarray) -> LogMagnitude:
-    return LogMagnitude(np.log(np.maximum(magnitude, LOG_MAG_FLOOR)))
-
-
-def reconstruct_full(low_log_mag: LogMagnitude, high_log_mag: LogMagnitude,
-                     phase: Phase, sample_rate: int,
-                     n_fft: int = N_FFT, hop: int = HOP) -> AudioBuffer:
-    """Concatenate low + predicted high log magnitudes, reuse the given phase, iSTFT.
+def reconstruct_full(low: np.ndarray, high: np.ndarray, phase: np.ndarray,
+                     sample_rate: int) -> AudioBuffer:
+    """Concatenate low [T, LOW_BINS] and predicted high [T, HIGH_BINS] log
+    magnitudes, apply the given phase [T, N_BINS] in radians, iSTFT.
 
     Output is clamped to [-1, 1]; any clipping is reported via the module
     logger rather than silently discarded.
     """
-    low, high = low_log_mag.data, high_log_mag.data
-    if low.shape[0] != high.shape[0] or low.shape[0] != phase.data.shape[0]:
+    if low.shape[0] != high.shape[0] or low.shape[0] != phase.shape[0]:
         raise ShapeError(f"reconstruct_full: frame counts differ "
-                         f"(low {low.shape[0]}, high {high.shape[0]}, phase {phase.data.shape[0]})")
+                         f"(low {low.shape[0]}, high {high.shape[0]}, phase {phase.shape[0]})")
     full_bins = low.shape[1] + high.shape[1]
-    if full_bins != n_fft // 2 + 1 or phase.data.shape[1] != full_bins:
+    if full_bins != N_BINS or phase.shape[1] != full_bins:
         raise ShapeError(f"reconstruct_full: bin split {low.shape[1]}+{high.shape[1]} must equal "
-                         f"{n_fft // 2 + 1} and match phase bins {phase.data.shape[1]}")
+                         f"{N_BINS} and match phase bins {phase.shape[1]}")
     magnitude = np.exp(np.concatenate([low, high], axis=1))
-    audio = istft(recombine(magnitude, phase, n_fft, hop, sample_rate))
+    audio = istft(ComplexSpectrogram(magnitude * np.exp(1j * phase), n_fft=N_FFT, hop=HOP,
+                                     sample_rate=sample_rate))
     clipped = int(np.sum(np.abs(audio.samples) > 1.0))
     if clipped:
         log.warning("reconstruct_full: clamped %d samples outside [-1, 1]", clipped)

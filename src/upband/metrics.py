@@ -1,9 +1,7 @@
 """Objective evaluation: log-spectral distance and signal-to-noise ratio.
 
 LSD is the per-frame RMS difference of base-10 log power spectra,
-averaged over frames, on a 2048-point Hann STFT with hop 512. ``lsd`` is
-the vectorized implementation; ``lsd_direct`` is a deliberately naive
-double loop kept as an independent cross-check.
+averaged over frames, on a 2048-point Hann STFT with hop 512.
 """
 
 from __future__ import annotations
@@ -46,23 +44,6 @@ def lsd(reference: AudioBuffer, approx: AudioBuffer, cfg: LsdConfig = LsdConfig(
     y = _log_power(approx, cfg)
     per_frame = np.sqrt(np.mean((x - y) ** 2, axis=1))
     return float(np.mean(per_frame))
-
-
-def lsd_direct(reference: AudioBuffer, approx: AudioBuffer, cfg: LsdConfig = LsdConfig()) -> float:
-    """Reference implementation with explicit frame/bin loops; used only to
-    cross-check ``lsd``."""
-    reference, approx = _aligned(reference, approx)
-    x = _log_power(reference, cfg)
-    y = _log_power(approx, cfg)
-    n_frames, n_bins = x.shape
-    acc = 0.0
-    for l in range(n_frames):
-        inner = 0.0
-        for k in range(n_bins):
-            diff = x[l, k] - y[l, k]
-            inner += diff * diff
-        acc += math.sqrt(inner / n_bins)
-    return acc / n_frames
 
 
 def snr(reference: AudioBuffer, approx: AudioBuffer) -> float:

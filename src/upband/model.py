@@ -7,9 +7,10 @@ full 513-bin frames; each one partitions its channels into a different
 number of groups so it specializes on a different frequency granularity.
 
 The paper-level constants (6 transformer layers, group counts 1/4/16/64/256,
-kernel 4 stride 2) live in the config defaults; everything the source
-material leaves open (widths, activations, norm placement) is a config
-knob with canonical transformer defaults.
+kernel 4 stride 2) live in the config defaults, as do the widths the source
+material leaves open. What it also leaves open is fixed in code to the
+canonical transformer choices: pre-norm residual blocks, GELU feed-forward
+layers and leaky-ReLU discriminator activations.
 """
 
 from __future__ import annotations
@@ -80,11 +81,11 @@ POWER_ITERS = 20
 
 
 def spectral_normalize(weight: Tensor, state: SpectralNormState, name: str,
-                       update: bool = True, power_iters: int = POWER_ITERS) -> Tensor:
+                       update: bool = True) -> Tensor:
     """Divide a weight by its power-iteration largest-singular-value estimate.
 
     The weight is viewed as 2-D with output channels first. Every call
-    advances a working copy of the persisted u vector by ``power_iters``
+    advances a working copy of the persisted u vector by ``POWER_ITERS``
     iterations before sigma is read off; with ``update`` set (training)
     the advanced vector is stored back. Gradient flows through sigma
     with u and v treated as constants (standard practice).
@@ -92,7 +93,7 @@ def spectral_normalize(weight: Tensor, state: SpectralNormState, name: str,
     w2 = weight.data.reshape(weight.shape[0], -1)
     u = state.u[name].astype(w2.dtype)
     v = None
-    for _ in range(power_iters):
+    for _ in range(POWER_ITERS):
         v = w2.T @ u
         v = v / max(np.linalg.norm(v), 1e-12)
         u = w2 @ v
@@ -187,10 +188,6 @@ def discriminator_parameter_names(params) -> list[str]:
     return [k for k in params if k.startswith("disc")]
 
 
-def parameter_count(params, prefix: str = "") -> int:
-    return sum(t.size for k, t in params.items() if k.startswith(prefix))
-
-
 # ---------------------------------------------------------------------------
 # generator
 
@@ -276,7 +273,7 @@ def discriminator_forward(params: dict[str, Tensor], cfg: DiscriminatorConfig,
                           update_sn: bool = True) -> tuple[Tensor, list[Tensor]]:
     """One grouped discriminator over full-band frames.
 
-    ``full`` is [T, 513] or [B, T, 513]. An ungrouped 1x1 projection maps
+    ``full`` is [B, T, 513]. An ungrouped 1x1 projection maps
     the 513 bins to the channel width (513 is not divisible by the group
     counts), then ``n_layers`` grouped stride-2 convolutions, then a 1x1
     map to per-window logits. Spectral normalization is applied to every
@@ -285,11 +282,9 @@ def discriminator_forward(params: dict[str, Tensor], cfg: DiscriminatorConfig,
     if not 0 <= d_index < cfg.n_discriminators:
         raise ConfigError(f"discriminator_forward: d_index {d_index} out of range "
                           f"[0, {cfg.n_discriminators})")
-    squeeze = full.ndim == 2
-    if squeeze:
-        full = tt.reshape(full, (1,) + full.shape)
-    if full.shape[-1] != N_BINS:
-        raise ShapeError(f"discriminator_forward: expected {N_BINS} bins, got {full.shape[-1]}")
+    if full.ndim != 3 or full.shape[-1] != N_BINS:
+        raise ShapeError(f"discriminator_forward: expected [B, T, {N_BINS}] frames, "
+                         f"got {full.shape}")
     x = tt.transpose(full, (0, 2, 1))  # [B, 513, T]
     g = cfg.group_counts[d_index]
     p = f"disc{d_index}"
@@ -309,8 +304,6 @@ def discriminator_forward(params: dict[str, Tensor], cfg: DiscriminatorConfig,
     w = spectral_normalize(params[f"{p}.out.w"], sn_state, f"{p}.out.w", update=update_sn)
     logits = tt.conv1d_grouped(h, w, params[f"{p}.out.b"])  # [B, 1, T']
     logits = tt.transpose(logits, (0, 2, 1))                # [B, T', 1]
-    if squeeze:
-        logits = tt.reshape(logits, logits.shape[1:])
     return logits, features
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import dsp
-from .dsp import AudioBuffer, LogMagnitude
+from .dsp import AudioBuffer
 
 
 def upsample_buffer(audio: AudioBuffer, model_fn=None) -> AudioBuffer:
@@ -23,10 +23,8 @@ def upsample_buffer(audio: AudioBuffer, model_fn=None) -> AudioBuffer:
     n = len(interp)
     if n < dsp.N_FFT:
         interp = AudioBuffer(np.pad(interp.samples, (0, dsp.N_FFT - n)), interp.sample_rate)
-    spec = dsp.stft(interp)
-    magnitude, phase = dsp.split_mag_phase(spec)
-    log_mag = dsp.to_log_magnitude(magnitude)
-    low = LogMagnitude(log_mag.data[:, :dsp.LOW_BINS])
-    high = LogMagnitude(np.asarray(model_fn(low.data), dtype=np.float64))
-    out = dsp.reconstruct_full(low, high, phase, interp.sample_rate)
+    spec = dsp.stft(interp).data
+    low = dsp.to_log_magnitude(np.abs(spec))[:, :dsp.LOW_BINS]
+    high = np.asarray(model_fn(low), dtype=np.float64)
+    out = dsp.reconstruct_full(low, high, np.angle(spec), interp.sample_rate)
     return AudioBuffer(out.samples[:n], out.sample_rate)

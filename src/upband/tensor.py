@@ -310,14 +310,11 @@ def linear(x, w, b) -> Tensor:
 def conv1d_grouped(x, w, b, stride: int = 1, padding: int = 0, groups: int = 1) -> Tensor:
     """Grouped 1-D convolution over the last (time) axis.
 
-    x: [C_in, T] or [B, C_in, T]; w: [C_out, C_in/groups, k]; b: [C_out].
+    x: [B, C_in, T]; w: [C_out, C_in/groups, k]; b: [C_out].
     Output time length is floor((T + 2*padding - k) / stride) + 1. Channel
     group i of the output depends only on channel group i of the input.
     """
     x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
-    squeeze = x.ndim == 2
-    if squeeze:
-        x = reshape(x, (1,) + x.shape)
     if x.ndim != 3 or w.ndim != 3 or b.ndim != 1:
         raise ShapeError(f"conv1d_grouped: expected x [B,C,T], w [C_out,C_in/g,k], b [C_out]; "
                          f"got {x.shape}, {w.shape}, {b.shape}")
@@ -348,8 +345,6 @@ def conv1d_grouped(x, w, b, stride: int = 1, padding: int = 0, groups: int = 1) 
     out = out.transpose(0, 1, 3, 2).reshape(B, c_out, t_out) + b.data[None, :, None]
 
     def bwd(grad):
-        if squeeze:
-            grad = grad.reshape(1, c_out, t_out)
         gg = grad.reshape(B, g, c_out_g, t_out).transpose(0, 1, 3, 2)  # [B,g,t,o]
         gg = np.ascontiguousarray(gg)
         dw = np.matmul(win2.transpose(0, 1, 3, 2), gg).sum(axis=0)     # [g,ck,o]
@@ -363,14 +358,9 @@ def conv1d_grouped(x, w, b, stride: int = 1, padding: int = 0, groups: int = 1) 
         for j in range(k):
             dxp[:, :, j:j + span:stride] += dwin[:, :, :, j]
         dx = dxp[:, :, padding:padding + t_in]
-        if squeeze:
-            dx = dx.reshape(c_in, t_in)
         return (dx, dw, db)
 
-    res = _result(out, (x, w, b), bwd)
-    if squeeze:
-        res = reshape(res, (c_out, t_out))
-    return res
+    return _result(out, (x, w, b), bwd)
 
 
 # ---------------------------------------------------------------------------

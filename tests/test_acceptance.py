@@ -11,8 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from upband import cli, data, dsp, metrics, model, tensor as tt, training
-from upband.dsp import AudioBuffer, LogMagnitude, Phase
+from upband import cli, data, dsp, metrics, model, selfcheck, tensor as tt, training
+from upband.dsp import AudioBuffer
 from upband.model import (DiscriminatorConfig, GeneratorConfig,
                           all_discriminators_forward, discriminator_forward,
                           discriminator_parameter_names, generator_forward,
@@ -67,7 +67,7 @@ def _primitive_cases(rng, dtype):
     p34 = proj((3, 4))
     p4, p3 = proj((4,)), proj((3,))
     p26, p43, p38 = proj((2, 6)), proj((4, 3)), proj((3, 8))
-    p35, p86 = proj((3, 5)), proj((8, 6))
+    p35, p186 = proj((3, 5)), proj((1, 8, 6))
     cases = [
         ("add", lambda ins: _scalarize(tt.add(ins[0], ins[1]), p34), [a34, b34]),
         ("sub", lambda ins: _scalarize(tt.sub(ins[0], ins[1]), p34), [a34, b34]),
@@ -96,8 +96,8 @@ def _primitive_cases(rng, dtype):
          [a34, _rand(rng, (4, 5), dtype), _rand(rng, (5,), dtype)]),
         ("conv1d_grouped", lambda ins: _scalarize(
             tt.conv1d_grouped(ins[0], ins[1], ins[2], stride=2, padding=1, groups=4),
-            p86),
-         [_rand(rng, (8, 12), dtype), _rand(rng, (8, 2, 4), dtype),
+            p186),
+         [_rand(rng, (1, 8, 12), dtype), _rand(rng, (8, 2, 4), dtype),
           _rand(rng, (8,), dtype)]),
         ("softmax", lambda ins: _scalarize(tt.softmax(ins[0]), p34), [a34]),
         ("layer_norm", lambda ins: _scalarize(tt.layer_norm(ins[0], ins[1], ins[2]),
@@ -177,7 +177,7 @@ def _check_composed(build_loss, target, rel_tol, label):
     assert err <= rel_tol, f"{label}: relative error {err:.3e} > {rel_tol:.1e}"
 
 
-def _svd_spectral_normalize(weight, state, name, update=True, power_iters=None):
+def _svd_spectral_normalize(weight, state, name, update=True):
     """Drop-in spectral normalizer with exact singular vectors.
 
     The production estimator tracks sigma by power iteration from a stored
@@ -277,23 +277,8 @@ def test_02_gradient_correctness():
 
 def test_03_dsp_oracles():
     t0 = time.monotonic()
-
-    rng = np.random.default_rng(0)
-    x = rng.normal(size=44100) * 0.1
-    y = dsp.istft(dsp.stft(AudioBuffer(x, 44100)))
-    n = min(len(y), len(x))
-    c = slice(1024, n - 1024)
-    round_trip = np.linalg.norm(y.samples[c] - x[c]) / np.linalg.norm(x[c])
-    assert round_trip < 1e-4
-
-    sr, n = 22050, 22050
-    t = np.arange(n) / sr
-    tone = 0.5 * np.sin(2 * np.pi * 1000 * t)
-    up = dsp.sinc_upsample(AudioBuffer(tone, sr), 2)
-    t2 = np.arange(2 * n) / (2 * sr)
-    ref = 0.5 * np.sin(2 * np.pi * 1000 * t2)
-    central = slice(int(0.1 * 2 * n), int(0.9 * 2 * n))
-    assert np.max(np.abs(up.samples[central] - ref[central])) < 1e-3
+    selfcheck.stft_roundtrip()
+    selfcheck.sinc_oracle()
 
     t = np.arange(44100) / 44100
     hi_tone = AudioBuffer(0.5 * np.sin(2 * np.pi * 15000 * t), 44100)
@@ -306,12 +291,8 @@ def test_03_dsp_oracles():
 
 
 def test_04_lsd_oracle():
-    rng = np.random.default_rng(21)
-    for _ in range(10):
-        x = AudioBuffer(rng.normal(size=16384) * 0.2, 44100)
-        y = AudioBuffer(rng.normal(size=16384) * 0.2, 44100)
-        assert abs(metrics.lsd(x, y) - metrics.lsd_direct(x, y)) < 1e-9
-    x = AudioBuffer(rng.normal(size=16384) * 0.2, 44100)
+    selfcheck.lsd_oracle()
+    x = AudioBuffer(np.random.default_rng(21).normal(size=16384) * 0.2, 44100)
     scaled = AudioBuffer(10.0 * x.samples, 44100)
     assert abs(metrics.lsd(x, scaled) - 2.0) < 1e-9
     assert metrics.lsd(x, x) == 0.0
@@ -343,17 +324,14 @@ def test_05_self_reconstruction_bound():
     for _ in range(3):
         truth = data.synth_signal(rng, 0.8)
         interp = dsp.sinc_upsample(dsp.downsample(truth, 2), 2)
-        spec_i = dsp.stft(interp)
-        mag_i, phase_i = dsp.split_mag_phase(spec_i)
-        low = LogMagnitude(dsp.to_log_magnitude(mag_i).data[:, :dsp.LOW_BINS])
-        mag_t, phase_t = dsp.split_mag_phase(dsp.stft(truth))
-        high_true = LogMagnitude(dsp.to_log_magnitude(mag_t).data[:, dsp.LOW_BINS:])
-        frames = min(low.data.shape[0], high_true.data.shape[0])
-        phase = np.concatenate([phase_i.data[:frames, :dsp.LOW_BINS],
-                                phase_t.data[:frames, dsp.LOW_BINS:]], axis=1)
-        recon = dsp.reconstruct_full(LogMagnitude(low.data[:frames]),
-                                     LogMagnitude(high_true.data[:frames]),
-                                     Phase(phase), truth.sample_rate)
+        spec_i = dsp.stft(interp).data
+        spec_t = dsp.stft(truth).data
+        frames = min(spec_i.shape[0], spec_t.shape[0])
+        low = dsp.to_log_magnitude(np.abs(spec_i[:frames, :dsp.LOW_BINS]))
+        high_true = dsp.to_log_magnitude(np.abs(spec_t[:frames, dsp.LOW_BINS:]))
+        phase = np.concatenate([np.angle(spec_i[:frames, :dsp.LOW_BINS]),
+                                np.angle(spec_t[:frames, dsp.LOW_BINS:])], axis=1)
+        recon = dsp.reconstruct_full(low, high_true, phase, truth.sample_rate)
         scores.append(metrics.lsd(truth, recon))
     assert float(np.mean(scores)) < 0.1, f"mean LSD {np.mean(scores):.4f}"
 
@@ -393,7 +371,7 @@ def test_07_gan_structure():
     assert margins.item() == 0.0
 
     gen, disc, params, sn = _micro_model(3)
-    x = Tensor(np.random.default_rng(0).normal(size=(8, 513)).astype(np.float32))
+    x = Tensor(np.random.default_rng(0).normal(size=(1, 8, 513)).astype(np.float32))
     with tt.no_grad():
         _, feats_a = discriminator_forward(params, disc, x, 0, sn, update_sn=False)
         params["disc0.out.w"].data += 50.0
@@ -402,22 +380,7 @@ def test_07_gan_structure():
     for a, b in zip(feats_a, feats_b):
         np.testing.assert_array_equal(a.data, b.data)
 
-    rng = np.random.default_rng(9)
-    for g in (4, 16, 64, 256):
-        c = 256
-        x = rng.normal(size=(c, 16)).astype(np.float32)
-        w = Tensor(rng.normal(size=(c, c // g, 4)).astype(np.float32))
-        b = Tensor(np.zeros(c, dtype=np.float32))
-        with tt.no_grad():
-            base = tt.conv1d_grouped(Tensor(x), w, b, stride=2, padding=1,
-                                     groups=g).data
-            x2 = x.copy()
-            x2[c // g:2 * c // g] += 1.0
-            out2 = tt.conv1d_grouped(Tensor(x2), w, b, stride=2, padding=1,
-                                     groups=g).data
-        changed = np.nonzero(np.any(base != out2, axis=1))[0]
-        expect = np.arange(c // g, 2 * c // g)
-        np.testing.assert_array_equal(changed, expect)
+    selfcheck.group_independence()
 
 
 # ---------------------------------------------------------------------------

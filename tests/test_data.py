@@ -97,7 +97,7 @@ class TestMakePair:
         truth = data.synth_signal(np.random.default_rng(11), 0.8)
         ex = data.make_pair(truth)
         spec = dsp.stft(truth)
-        log_true = dsp.to_log_magnitude(np.abs(spec.data)).data[:, :257]
+        log_true = dsp.to_log_magnitude(np.abs(spec.data))[:, :257]
         T = min(ex.low_log_mag.shape[0], log_true.shape[0])
         # convert natural-log magnitude difference to base-10 log power RMS
         d = (ex.low_log_mag[:T] - log_true[:T]) * (2.0 / np.log(10.0))

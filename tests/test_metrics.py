@@ -6,7 +6,7 @@ import pytest
 from upband import data, metrics
 from upband.dsp import AudioBuffer
 from upband.errors import DataError
-from upband.metrics import EvalReport, LsdConfig, evaluate_corpus, lsd, lsd_direct, snr
+from upband.metrics import EvalReport, LsdConfig, evaluate_corpus, lsd, snr
 
 
 def noise(seed, n=16384, amp=0.2, sr=44100):
@@ -22,11 +22,6 @@ class TestLsd:
         x = noise(1)
         scaled = AudioBuffer(10.0 * x.samples, x.sample_rate)
         assert lsd(x, scaled) == pytest.approx(2.0, abs=1e-9)
-
-    def test_matches_direct_implementation(self):
-        for seed in range(3):
-            x, y = noise(seed), noise(seed + 100)
-            assert abs(lsd(x, y) - lsd_direct(x, y)) < 1e-9
 
     def test_rate_mismatch_rejected(self):
         with pytest.raises(DataError):

@@ -5,8 +5,8 @@ from upband import config, dsp, model, tensor as tt
 from upband.errors import ConfigError, ShapeError
 from upband.model import (DiscriminatorConfig, GeneratorConfig, SpectralNormState,
                           all_discriminators_forward, discriminator_forward,
-                          generator_forward, init_parameters, parameter_count,
-                          parameter_shapes, spectral_normalize)
+                          generator_forward, init_parameters, parameter_shapes,
+                          spectral_normalize)
 from upband.tensor import Tensor
 
 from conftest import tiny_disc_cfg, tiny_gen_cfg
@@ -59,9 +59,10 @@ class TestInit:
             disc_expected += dsp.N_BINS * C + C                    # projection
             disc_expected += disc.n_layers * (C * (C // g) * k + C)
             disc_expected += C + 1                                 # logit head
-        assert parameter_count(params, "gen.") == gen_expected
-        assert parameter_count(params, "disc") == disc_expected
-        assert parameter_count(params) == gen_expected + disc_expected
+        count = lambda prefix: sum(t.size for k, t in params.items() if k.startswith(prefix))
+        assert count("gen.") == gen_expected
+        assert count("disc") == disc_expected
+        assert count("") == gen_expected + disc_expected
 
     @pytest.mark.parametrize("preset", ["desk", "default"])
     def test_parameters_follow_declaration(self, preset):
@@ -153,15 +154,15 @@ class TestDiscriminator:
         disc = tiny_disc_cfg()
         params, sn = init_parameters(tiny_gen_cfg(), disc, seed=1)
         with tt.no_grad():
-            logits, _ = discriminator_forward(params, disc, Tensor(np.zeros((64, 513))),
+            logits, _ = discriminator_forward(params, disc, Tensor(np.zeros((1, 64, 513))),
                                               0, sn, update_sn=False)
-        assert logits.shape == (4, 1)
+        assert logits.shape == (1, 4, 1)
 
     def test_features_exclude_projection_and_logits(self):
         disc = tiny_disc_cfg()
         params, sn = init_parameters(tiny_gen_cfg(), disc, seed=1)
         with tt.no_grad():
-            _, feats = discriminator_forward(params, disc, Tensor(np.zeros((32, 513))),
+            _, feats = discriminator_forward(params, disc, Tensor(np.zeros((1, 32, 513))),
                                              1, sn, update_sn=False)
         assert len(feats) == disc.n_layers
 
@@ -170,7 +171,7 @@ class TestDiscriminator:
         params, sn = init_parameters(tiny_gen_cfg(), disc, seed=1)
         with tt.no_grad():
             logits, feats = all_discriminators_forward(params, disc,
-                                                       Tensor(np.zeros((32, 513))),
+                                                       Tensor(np.zeros((1, 32, 513))),
                                                        sn, update_sn=False)
         assert len(logits) == len(feats) == disc.n_discriminators
 
@@ -178,7 +179,13 @@ class TestDiscriminator:
         disc = tiny_disc_cfg()
         params, sn = init_parameters(tiny_gen_cfg(), disc, seed=1)
         with pytest.raises(ConfigError):
-            discriminator_forward(params, disc, Tensor(np.zeros((32, 513))), 9, sn)
+            discriminator_forward(params, disc, Tensor(np.zeros((1, 32, 513))), 9, sn)
+
+    def test_unbatched_input_rejected(self):
+        disc = tiny_disc_cfg()
+        params, sn = init_parameters(tiny_gen_cfg(), disc, seed=1)
+        with pytest.raises(ShapeError):
+            discriminator_forward(params, disc, Tensor(np.zeros((32, 513))), 0, sn)
 
 
 class TestSpectralNormalize:
@@ -188,7 +195,7 @@ class TestSpectralNormalize:
         state.init("w", 2, rng)
         w = Tensor(np.diag([3.0, 1.0]), requires_grad=True)
         with tt.no_grad():
-            out = spectral_normalize(w, state, "w", update=True, power_iters=20)
+            out = spectral_normalize(w, state, "w", update=True)
         np.testing.assert_allclose(out.data, np.diag([1.0, 1.0 / 3.0]), atol=1e-6)
 
     def test_unit_sigma_fixed_point(self):
@@ -200,18 +207,6 @@ class TestSpectralNormalize:
         with tt.no_grad():
             out = spectral_normalize(w, state, "w", update=True)
         np.testing.assert_allclose(out.data, q, atol=1e-4)
-
-    def test_one_iteration_converges_on_static_weight(self):
-        rng = np.random.default_rng(5)
-        state = SpectralNormState()
-        state.init("w", 16, rng)
-        w = Tensor(rng.normal(size=(16, 16)), requires_grad=True)
-        with tt.no_grad():
-            for _ in range(50):
-                spectral_normalize(w, state, "w", update=True, power_iters=1)
-            normalized = spectral_normalize(w, state, "w", update=False, power_iters=1)
-        sigma = np.linalg.svd(normalized.data, compute_uv=False)[0]
-        assert 0.95 <= sigma <= 1.05
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(7)

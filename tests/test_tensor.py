@@ -41,15 +41,15 @@ class TestMatmul:
 
 class TestConv1dGrouped:
     def test_output_length(self):
-        x = Tensor(np.zeros((512, 100)))
+        x = Tensor(np.zeros((1, 512, 100)))
         w = Tensor(np.zeros((8, 512, 4)))
         b = Tensor(np.zeros(8))
         out = tt.conv1d_grouped(x, w, b, stride=2, padding=1)
-        assert out.shape == (8, 50)
+        assert out.shape == (1, 8, 50)
 
     def test_per_channel_identity(self):
         rng = np.random.default_rng(2)
-        x = Tensor(rng.normal(size=(6, 9)))
+        x = Tensor(rng.normal(size=(1, 6, 9)))
         w = Tensor(np.ones((6, 1, 1)))
         b = Tensor(np.zeros(6))
         out = tt.conv1d_grouped(x, w, b, groups=6)
@@ -57,18 +57,18 @@ class TestConv1dGrouped:
 
     def test_group_independence_bit_identical(self):
         rng = np.random.default_rng(3)
-        x = rng.normal(size=(8, 10)).astype(np.float32)
+        x = rng.normal(size=(1, 8, 10)).astype(np.float32)
         w = Tensor(rng.normal(size=(8, 4, 3)).astype(np.float32))
         b = Tensor(rng.normal(size=8).astype(np.float32))
         with tt.no_grad():
             base = tt.conv1d_grouped(Tensor(x), w, b, padding=1, groups=2).data
             x2 = x.copy()
-            x2[4:] = 0.0  # zero group 2's input channels
+            x2[:, 4:] = 0.0  # zero group 2's input channels
             out2 = tt.conv1d_grouped(Tensor(x2), w, b, padding=1, groups=2).data
-        np.testing.assert_array_equal(base[:4], out2[:4])
+        np.testing.assert_array_equal(base[:, :4], out2[:, :4])
 
     def test_bad_group_divisibility(self):
-        x = Tensor(np.zeros((6, 8)))
+        x = Tensor(np.zeros((1, 6, 8)))
         w = Tensor(np.zeros((6, 2, 3)))
         b = Tensor(np.zeros(6))
         with pytest.raises(ConfigError):
@@ -76,13 +76,18 @@ class TestConv1dGrouped:
 
     def test_gradcheck_strided(self):
         rng = np.random.default_rng(4)
-        ins = [t64(rng.normal(size=(8, 12))), t64(rng.normal(size=(8, 2, 4))),
+        ins = [t64(rng.normal(size=(2, 8, 12))), t64(rng.normal(size=(8, 2, 4))),
                t64(rng.normal(size=8))]
         err = tt.check_gradients(
             lambda x: tt.tsum(tt.conv1d_grouped(x[0], x[1], x[2], stride=2, padding=1,
                                                 groups=4)),
             ins, rel_tol=1e-6)
         assert err < 1e-6
+
+    def test_unbatched_input_rejected(self):
+        with pytest.raises(ShapeError):
+            tt.conv1d_grouped(Tensor(np.zeros((6, 8))), Tensor(np.zeros((6, 1, 3))),
+                              Tensor(np.zeros(6)), groups=6)
 
 
 class TestElementwise:

@@ -82,7 +82,7 @@ class TestFeatureMatching:
     def test_logits_layer_excluded(self):
         disc = tiny_disc_cfg()
         params, sn = init_parameters(tiny_gen_cfg(), disc, seed=2)
-        x = Tensor(np.random.default_rng(0).normal(size=(32, 513)).astype(np.float32))
+        x = Tensor(np.random.default_rng(0).normal(size=(1, 32, 513)).astype(np.float32))
         with tt.no_grad():
             _, feats_a = discriminator_forward(params, disc, x, 0, sn, update_sn=False)
             params["disc0.out.b"].data += 100.0  # perturb the logit head only
@@ -267,6 +267,17 @@ class TestCheckpoint:
             np.testing.assert_array_equal(loaded.params[name].data, state.params[name].data)
         assert list(loaded.adam_g.m) == list(state.adam_g.m)
 
+    def test_rank_one_scalars_of_older_checkpoints_load(self, small_examples, tmp_path):
+        # older writers stored the step and Adam counters with shape (1,)
+        state = self._trained_state(small_examples)
+        path = tmp_path / "ck.nug"
+        save_checkpoint(path, state)
+        self._rewrite(path, lambda t: t.update(
+            {k: t[k].reshape(1) for k in ("step", "adam_g.t", "adam_d.t")}))
+        loaded = load_checkpoint(path, state.gen_cfg, state.disc_cfg, state.train_cfg)
+        assert loaded.step == state.step == 2
+        assert loaded.adam_g.t == state.adam_g.t and loaded.adam_d.t == state.adam_d.t
+
     @staticmethod
     def _rewrite(path, edit):
         digest = path.read_bytes()[8:40]
@@ -306,10 +317,12 @@ class TestCheckpoint:
     def test_load_tensors_owned_and_writable(self, tmp_path):
         path = tmp_path / "t.nug"
         tensors = {"w": np.arange(12, dtype=np.float32).reshape(3, 4),
-                   "t": np.array([7], dtype=np.int64)}
+                   "t": np.array([7], dtype=np.int64),
+                   "s": np.array(5, dtype=np.int64)}
         checkpoint.save_tensors(path, tensors, bytes(32))
         loaded = checkpoint.load_tensors(path, bytes(32))
         for name, arr in tensors.items():
+            assert loaded[name].shape == arr.shape
             np.testing.assert_array_equal(loaded[name], arr)
             assert loaded[name].flags.owndata and loaded[name].flags.writeable
             assert loaded[name].flags.aligned
