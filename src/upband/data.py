@@ -1,9 +1,10 @@
 """Audio file I/O, paired-example construction, and corpus handling.
 
-WAV support is a small RIFF parser: PCM 16-bit and IEEE float 32-bit,
-mono or stereo (stereo is downmixed with a warning). Training pairs are
-built by decimating full-rate ground truth, re-interpolating it, and
-splitting the spectrogram into conditioning and target bins. A seeded
+WAV support is a small RIFF parser: PCM 16- and 24-bit and IEEE float
+32-bit, plain or ``WAVE_FORMAT_EXTENSIBLE``, mono or multichannel
+(downmixed with a warning). Training pairs are built by decimating
+full-rate ground truth, re-interpolating it, and splitting the
+spectrogram into conditioning and target bins. A seeded
 harmonic-stack generator provides a small corpus whose upper band is a
 deterministic function of the lower band, so the prediction task is
 learnable at desk scale.
@@ -26,6 +27,10 @@ log = logging.getLogger(__name__)
 
 _FMT_PCM = 1
 _FMT_IEEE_FLOAT = 3
+_FMT_EXTENSIBLE = 0xFFFE
+# (format code, bits per sample) -> little-endian sample dtype and full scale
+_CODECS = {(_FMT_PCM, 16): ("<i2", 32768.0), (_FMT_PCM, 24): ("<i4", 2.0 ** 31),
+           (_FMT_IEEE_FLOAT, 32): ("<f4", 1.0)}
 
 
 # ---------------------------------------------------------------------------
@@ -50,7 +55,13 @@ def read_wav(path) -> AudioBuffer:
         if chunk_id == b"fmt ":
             if len(body) < 16:
                 raise WavFormatError(f"read_wav: {path}: truncated 'fmt ' chunk")
-            fmt = struct.unpack_from("<HHIIHH", body, 0)
+            fmt = list(struct.unpack_from("<HHIIHH", body, 0))
+            if fmt[0] == _FMT_EXTENSIBLE:
+                # the SubFormat GUID at byte 24 starts with the format code
+                if len(body) < 40:
+                    raise WavFormatError(f"read_wav: {path}: truncated 'fmt ' chunk "
+                                         f"(extensible format needs 40 bytes, got {len(body)})")
+                (fmt[0],) = struct.unpack_from("<H", body, 24)
         elif chunk_id == b"data":
             if len(body) < chunk_size:
                 raise WavFormatError(f"read_wav: {path}: truncated 'data' chunk "
@@ -64,13 +75,19 @@ def read_wav(path) -> AudioBuffer:
     audio_format, channels, sample_rate, _, _, bits = fmt
     if sample_rate == 0:
         raise WavFormatError(f"read_wav: {path}: sample rate is zero")
-    if audio_format == _FMT_PCM and bits == 16:
-        samples = np.frombuffer(data, dtype="<i2").astype(np.float64) / 32768.0
-    elif audio_format == _FMT_IEEE_FLOAT and bits == 32:
-        samples = np.frombuffer(data, dtype="<f4").astype(np.float64)
-    else:
-        raise WavFormatError(f"read_wav: {path}: unsupported codec "
-                             f"(format {audio_format}, {bits}-bit); need PCM-16 or float-32")
+    codec = _CODECS.get((audio_format, bits))
+    if codec is None:
+        raise WavFormatError(f"read_wav: {path}: unsupported codec (format {audio_format}, "
+                             f"{bits}-bit); need PCM-16, PCM-24 or float-32")
+    dtype, full_scale = codec
+    width = bits // 8
+    raw = np.frombuffer(data, dtype=np.uint8, count=len(data) // width * width)
+    if width == 3:
+        # each 24-bit sample becomes the top three bytes of an int32
+        padded = np.zeros((raw.size // 3, 4), dtype=np.uint8)
+        padded[:, 1:] = raw.reshape(-1, 3)
+        raw = padded.reshape(-1)
+    samples = raw.view(dtype).astype(np.float64) / full_scale
     if channels > 1:
         log.warning("read_wav: %s has %d channels; averaging to mono", path, channels)
         samples = samples[:len(samples) // channels * channels]

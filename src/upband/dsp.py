@@ -170,26 +170,27 @@ def istft(spec: ComplexSpectrogram) -> AudioBuffer:
     """Least-squares overlap-add inverse of ``stft`` (window-square normalized)."""
     n_fft, hop = spec.n_fft, spec.hop
     window = _hann_periodic(n_fft)
-    # constant-overlap-add check for the squared window
     wsq = window * window
-    probe = np.zeros(2 * n_fft)
-    for off in range(0, n_fft + 1, hop):
-        probe[off:off + n_fft] += wsq
-    core = probe[n_fft - hop:n_fft]
-    if np.any(core < 1e-8) or (n_fft % hop) != 0:
+    # constant-overlap-add condition: hop divides n_fft, and the squared
+    # window's hop-long blocks cover every position of a block
+    if n_fft % hop != 0 or np.any(wsq.reshape(-1, hop).sum(axis=0) < 1e-8):
         raise DataError(f"istft: window/hop combination (hann {n_fft}, hop {hop}) violates "
                         "the overlap-add constant condition")
-    frames = np.fft.irfft(spec.data, n=n_fft, axis=1) * window
-    length = (spec.frames - 1) * hop + n_fft
-    y = np.zeros(length)
-    norm = np.zeros(length)
-    for t in range(spec.frames):
-        y[t * hop:t * hop + n_fft] += frames[t]
-        norm[t * hop:t * hop + n_fft] += wsq
+    # overlap-add in hop-long blocks: block j of frame t lands on segment
+    # t + j, and adding the last block first sums every segment in frame order
+    n_frames, blocks = spec.frames, n_fft // hop
+    frames = (np.fft.irfft(spec.data, n=n_fft, axis=1) * window).reshape(n_frames, blocks, hop)
+    wsq_blocks = wsq.reshape(blocks, hop)
+    y = np.zeros((n_frames + blocks - 1, hop))
+    norm = np.zeros_like(y)
+    for j in range(blocks - 1, -1, -1):
+        y[j:j + n_frames] += frames[:, j]
+        norm[j:j + n_frames] += wsq_blocks[j]
+    y, norm = y.reshape(-1), norm.reshape(-1)
     good = norm > 1e-10
     y[good] /= norm[good]
     pad = n_fft // 2
-    return AudioBuffer(y[pad:length - pad], spec.sample_rate)
+    return AudioBuffer(y[pad:len(y) - pad], spec.sample_rate)
 
 
 def to_log_magnitude(magnitude: np.ndarray) -> np.ndarray:

@@ -248,15 +248,17 @@ def generator_forward(params: dict[str, Tensor], cfg: GeneratorConfig, low: Tens
 def make_generator_fn(params: dict[str, Tensor], cfg: GeneratorConfig):
     """Inference closure: numpy [T, LOW_BINS] -> numpy [T, HIGH_BINS], run as
     one batch of n = ceil(T / max_frames) equal windows, the training context,
-    the last ending at frame T; fewer than n frames fall in two windows."""
+    the last ending at frame T; fewer than n frames fall in two windows. The
+    windows are cast to the weights' dtype, so the output has that dtype too."""
 
     def fn(low_log_mag: np.ndarray) -> np.ndarray:
+        dtype = params["gen.in.w"].dtype
         T = low_log_mag.shape[0]
         n = -(-T // cfg.max_frames)
         L = -(-T // n)
         frames = np.minimum(np.arange(n) * L, T - L)[:, None] + np.arange(L)
         with tt.no_grad():
-            pred = generator_forward(params, cfg, Tensor(low_log_mag[frames])).data
+            pred = generator_forward(params, cfg, Tensor(low_log_mag[frames], dtype=dtype)).data
         out = np.empty((T, HIGH_BINS), dtype=pred.dtype)
         out[frames] = pred
         return out

@@ -6,6 +6,10 @@ accumulates gradients additively into every requires-grad tensor on the
 path, and clears the tape. Float32 is the working precision; float64 is
 used by the finite-difference checker.
 
+A Python or numpy scalar passed to ``add``/``sub``/``mul`` takes the other
+operand's dtype, so ``mul(x32, 0.5)`` stays float32 and ``mul(x64, 0.5)``
+float64 under the promotion rules of NumPy 1.x and 2.x alike.
+
 Broadcasting is deliberately restricted to scalar-vs-tensor; anything
 else must match shapes exactly. Primitives that need a broadcast
 internally (bias in ``linear``/``conv1d_grouped``, gain/shift in
@@ -116,6 +120,16 @@ def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+def _operands(a, b) -> tuple[Tensor, Tensor]:
+    """Both operands of a binary op as tensors; a non-tensor takes the other's dtype."""
+    if not isinstance(a, Tensor):
+        b = _as_tensor(b)
+        return Tensor(a, dtype=b.dtype), b
+    if not isinstance(b, Tensor):
+        return a, Tensor(b, dtype=a.dtype)
+    return a, b
+
+
 def _result(data: np.ndarray, inputs: Sequence[Tensor], backward_fn: Callable) -> Tensor:
     requires = _tape.enabled and any(t.requires_grad for t in inputs)
     out = Tensor(data, requires_grad=requires)
@@ -146,21 +160,21 @@ def _unbroadcast(grad: np.ndarray, shape) -> np.ndarray:
 
 
 def add(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
+    a, b = _operands(a, b)
     _check_binary_shapes(a, b, "add")
     return _result(a.data + b.data, (a, b),
                    lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)))
 
 
 def sub(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
+    a, b = _operands(a, b)
     _check_binary_shapes(a, b, "sub")
     return _result(a.data - b.data, (a, b),
                    lambda g: (_unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)))
 
 
 def mul(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
+    a, b = _operands(a, b)
     _check_binary_shapes(a, b, "mul")
     return _result(a.data * b.data, (a, b),
                    lambda g: (_unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)))

@@ -179,13 +179,17 @@ def train_step(state: TrainState, low: np.ndarray, high_real: np.ndarray) -> Ste
     """One discriminator update followed by one generator update.
 
     ``low`` is [B, T, 257] conditioning log magnitudes, ``high_real`` the
-    matching [B, T, 256] ground-truth upper bins.
+    matching [B, T, 256] ground-truth upper bins. Both are cast to the
+    weights' dtype, so the detached prediction, and every op of the step,
+    runs at that precision.
     """
     if low.ndim != 3 or high_real.ndim != 3 or low.shape[:2] != high_real.shape[:2]:
         raise ShapeError(f"train_step: inconsistent batch shapes {low.shape} / {high_real.shape}")
     t0 = time.perf_counter()
     cfg = state.train_cfg
     params = state.params
+    dtype = params["gen.in.w"].dtype
+    low, high_real = low.astype(dtype, copy=False), high_real.astype(dtype, copy=False)
     gen_names = generator_parameter_names(params)
     disc_names = discriminator_parameter_names(params)
     real_full = np.concatenate([low, high_real], axis=2)

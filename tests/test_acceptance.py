@@ -129,7 +129,7 @@ def _small_names(params, prefix, limit=64):
 _KINKED = ("leaky_relu", "max_with_scalar", "tabs")
 
 
-def _eval_with_kink_pattern(build_loss):
+def _eval_with_kink_pattern(build_loss, params):
     signs = []
     saved = {name: getattr(tt, name) for name in _KINKED}
 
@@ -143,30 +143,41 @@ def _eval_with_kink_pattern(build_loss):
     for name in _KINKED:
         setattr(tt, name, wrap(name, saved[name]))
     try:
-        value = float(build_loss(None).data)
+        value = float(build_loss(params).data)
     finally:
         for name in _KINKED:
             setattr(tt, name, saved[name])
     return value, b"".join(signs)
 
 
-def _check_composed(build_loss, target, rel_tol, label):
+def _check_composed(build_loss, params, name, rel_tol, label):
+    """Compare the analytic gradient of ``build_loss(params)`` with respect to
+    ``params[name]``, taken at the parameters' own dtype, with central
+    differences of the same loss evaluated on float64 copies of the
+    parameters; ``build_loss`` casts its inputs to the dtype of the dict it
+    is given. A float32 loss rounds at about 1e-7 of its value, which a
+    central difference with a float32-sized step turns into errors of up to
+    1e-2 on these losses, so the float32 gradient is checked against the
+    float64 evaluation of the function it differentiates."""
+    target = params[name]
     tt.reset_tape()
     target.zero_grad()
-    tt.backward(build_loss(None))
+    tt.backward(build_loss(params))
+    assert target.grad.dtype == target.dtype, label
     ana = target.grad.astype(np.float64).reshape(-1)
-    flat = target.data.reshape(-1)
+    ref = {n: Tensor(p.data, requires_grad=True, dtype=np.float64) for n, p in params.items()}
+    flat = ref[name].data.reshape(-1)
     scale = max(1.0, float(np.max(np.abs(flat))))
-    h = (1e-3 if target.dtype == np.float32 else 1e-6) * scale
+    h = 1e-6 * scale
     num = np.zeros(flat.size)
     valid = np.ones(flat.size, dtype=bool)
     with tt.no_grad():
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + h
-            fp, sp = _eval_with_kink_pattern(build_loss)
+            fp, sp = _eval_with_kink_pattern(build_loss, ref)
             flat[i] = orig - h
-            fm, sm = _eval_with_kink_pattern(build_loss)
+            fm, sm = _eval_with_kink_pattern(build_loss, ref)
             flat[i] = orig
             num[i] = (fp - fm) / (2.0 * h)
             valid[i] = sp == sm
@@ -206,47 +217,51 @@ def _composed_loss_check(seed, dtype, rel_tol, which):
     T = 8
     low = rng.normal(size=(1, T, 257)).astype(dtype)
     high = rng.normal(size=(1, T, 256)).astype(dtype)
-    real_full = Tensor(np.concatenate([low, high], axis=2))
+    real_full = np.concatenate([low, high], axis=2)
 
     if which == "d":
         with tt.no_grad():
             fake = generator_forward(params, gen, Tensor(low)).data
-        fake_full = Tensor(np.concatenate([low, fake], axis=2))
+        fake_full = np.concatenate([low, fake], axis=2)
         # out.b shifts real and fake logits identically, so the hinge
         # indicator terms cancel and its gradient is structurally zero;
         # a relative FD comparison of 0 against noise is meaningless
         candidates = [n for n in _small_names(params, "disc")
                       if not n.endswith("out.b")]
 
-        def build_loss(_):
-            rl, _f = all_discriminators_forward(params, disc, real_full, sn,
+        def build_loss(ps):
+            dt = ps["gen.in.w"].dtype
+            rl, _f = all_discriminators_forward(ps, disc, Tensor(real_full, dtype=dt), sn,
                                                 update_sn=False)
-            fl, _f = all_discriminators_forward(params, disc, fake_full, sn,
+            fl, _f = all_discriminators_forward(ps, disc, Tensor(fake_full, dtype=dt), sn,
                                                 update_sn=False)
             return hinge_d_loss(rl, fl)
     else:
         # the real-side features are constants of the generator objective,
         # so they are computed once and closed over
         with tt.no_grad():
-            _, real_feats = all_discriminators_forward(params, disc, real_full, sn,
+            _, real_feats = all_discriminators_forward(params, disc, Tensor(real_full), sn,
                                                        update_sn=False)
         real_feats = [[f.data.copy() for f in d] for d in real_feats]
         candidates = _small_names(params, "gen") + _small_names(params, "disc")
 
-        def build_loss(_):
-            fake_t = generator_forward(params, gen, Tensor(low))
-            full = tt.concat([Tensor(low), fake_t], axis=2)
-            logits, fake_feats = all_discriminators_forward(params, disc, full, sn,
+        def build_loss(ps):
+            dt = ps["gen.in.w"].dtype
+            low_t = Tensor(low, dtype=dt)
+            fake_t = generator_forward(ps, gen, low_t)
+            full = tt.concat([low_t, fake_t], axis=2)
+            logits, fake_feats = all_discriminators_forward(ps, disc, full, sn,
                                                             update_sn=False)
             adv = hinge_g_loss(logits)
-            fm = feature_matching_loss(real_feats, fake_feats)
+            fm = feature_matching_loss([[f.astype(dt) for f in d] for d in real_feats],
+                                       fake_feats)
             return tt.add(adv, tt.mul(fm, 10.0))
 
     name = candidates[int(np.random.default_rng(seed).integers(0, len(candidates)))]
     saved_sn = model.spectral_normalize
     model.spectral_normalize = _svd_spectral_normalize
     try:
-        _check_composed(build_loss, params[name],
+        _check_composed(build_loss, params, name,
                         rel_tol, f"{which}-loss seed {seed} {name} {dtype.__name__}")
     finally:
         model.spectral_normalize = saved_sn

@@ -5,6 +5,8 @@ from upband import checkpoint, cli, data, dsp, selfcheck, tensor as tt, training
 from upband.config import load_config, render_config
 from upband.errors import ConfigError
 
+from conftest import fmt_body, write_riff
+
 TINY_CFG = """\
 [generator]
 n_layers = 2
@@ -177,6 +179,14 @@ class TestCliUpsample:
     def test_wrong_rate_exit_2(self, tmp_path):
         path = tmp_path / "hi.wav"
         data.write_wav(path, dsp.AudioBuffer(np.zeros(4096), 44100))
+        rc = cli.main(["upsample", "--bypass-model", str(path), str(tmp_path / "o.wav")])
+        assert rc == 2
+
+    @pytest.mark.parametrize("fmt", [fmt_body(6, 8, extensible=True),
+                                     fmt_body(1, 24, extensible=True)[:18]])
+    def test_unsupported_wav_exit_2(self, tmp_path, fmt):
+        path = tmp_path / "in.wav"
+        write_riff(path, fmt, b"\x00" * 4096)
         rc = cli.main(["upsample", "--bypass-model", str(path), str(tmp_path / "o.wav")])
         assert rc == 2
 

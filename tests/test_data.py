@@ -7,15 +7,16 @@ from upband import data, dsp, metrics
 from upband.dsp import AudioBuffer
 from upband.errors import DataError, WavFormatError
 
+from conftest import fmt_body, write_riff
+
 
 def write_pcm16(path, samples, sr=22050):
-    body = np.asarray(samples, dtype="<i2").tobytes()
-    fmt = struct.pack("<HHIIHH", 1, 1, sr, sr * 2, 2, 16)
-    riff = 4 + 8 + len(fmt) + 8 + len(body)
-    with open(path, "wb") as f:
-        f.write(b"RIFF" + struct.pack("<I", riff) + b"WAVE")
-        f.write(b"fmt " + struct.pack("<I", len(fmt)) + fmt)
-        f.write(b"data" + struct.pack("<I", len(body)) + body)
+    write_riff(path, fmt_body(1, 16, sr=sr), np.asarray(samples, dtype="<i2").tobytes())
+
+
+def pcm24_bytes(samples):
+    ints = np.asarray(samples, dtype="<i4").view(np.uint8).reshape(-1, 4)
+    return ints[:, :3].tobytes()
 
 
 class TestWavIO:
@@ -61,17 +62,51 @@ class TestWavIO:
         inter = np.zeros(64, dtype="<i2")
         inter[0::2] = 1000
         inter[1::2] = 3000
-        body = inter.tobytes()
-        fmt = struct.pack("<HHIIHH", 1, 2, 44100, 44100 * 4, 4, 16)
-        riff = 4 + 8 + len(fmt) + 8 + len(body)
-        with open(path, "wb") as f:
-            f.write(b"RIFF" + struct.pack("<I", riff) + b"WAVE")
-            f.write(b"fmt " + struct.pack("<I", len(fmt)) + fmt)
-            f.write(b"data" + struct.pack("<I", len(body)) + body)
+        write_riff(path, fmt_body(1, 16, channels=2, sr=44100), inter.tobytes())
         with caplog.at_level("WARNING"):
             back = data.read_wav(path)
         assert "channels" in caplog.text
         assert back.samples[0] == pytest.approx(2000 / 32768)
+
+    def test_pcm24_full_scale(self, tmp_path):
+        ints = [-2 ** 23, -1, 0, 1, 2 ** 23 - 1, 123456]
+        write_riff(tmp_path / "g.wav", fmt_body(1, 24), pcm24_bytes(ints))
+        back = data.read_wav(tmp_path / "g.wav")
+        np.testing.assert_array_equal(back.samples, np.array(ints) / 2.0 ** 23)
+
+    @pytest.mark.parametrize("code,bits", [(1, 16), (1, 24), (3, 32)])
+    def test_extensible_reads_like_plain(self, tmp_path, code, bits):
+        rng = np.random.default_rng(bits)
+        if code == 3:
+            body = rng.uniform(-1, 1, 64).astype("<f4").tobytes()
+        elif bits == 16:
+            body = rng.integers(-2 ** 15, 2 ** 15, 64).astype("<i2").tobytes()
+        else:
+            body = pcm24_bytes(rng.integers(-2 ** 23, 2 ** 23, 64))
+        write_riff(tmp_path / "plain.wav", fmt_body(code, bits), body)
+        write_riff(tmp_path / "ext.wav", fmt_body(code, bits, extensible=True), body)
+        plain = data.read_wav(tmp_path / "plain.wav")
+        ext = data.read_wav(tmp_path / "ext.wav")
+        assert len(ext) == 64
+        np.testing.assert_array_equal(ext.samples, plain.samples)
+
+    @pytest.mark.parametrize("fmt,match", [
+        (fmt_body(6, 8), "codec"),                                  # A-law
+        (fmt_body(1, 8), "codec"),
+        (fmt_body(1, 32), "codec"),
+        (fmt_body(6, 8, extensible=True), "codec"),
+        (fmt_body(3, 64, extensible=True), "codec"),
+        (fmt_body(1, 16, extensible=True)[:18], "fmt"),             # no SubFormat
+        (fmt_body(1, 16)[:14], "fmt"),
+    ])
+    def test_unsupported_or_truncated_format_refused(self, tmp_path, fmt, match):
+        write_riff(tmp_path / "h.wav", fmt, b"\x00" * 64)
+        with pytest.raises(WavFormatError, match=match):
+            data.read_wav(tmp_path / "h.wav")
+
+    def test_partial_trailing_sample_dropped(self, tmp_path):
+        write_riff(tmp_path / "i.wav", fmt_body(1, 24), pcm24_bytes([2 ** 22, -2 ** 22]) + b"\x01")
+        np.testing.assert_array_equal(data.read_wav(tmp_path / "i.wav").samples, [0.5, -0.5])
 
 
 class TestMakePair:

@@ -115,6 +115,29 @@ class TestIstft:
         np.testing.assert_allclose(istft(doubled).samples, 2.0 * istft(spec).samples,
                                    atol=1e-12)
 
+    @staticmethod
+    def _frame_loop(spec):
+        """Reference: overlap-add one frame at a time, in frame order."""
+        n_fft, hop = spec.n_fft, spec.hop
+        window = dsp._hann_periodic(n_fft)
+        frames = np.fft.irfft(spec.data, n=n_fft, axis=1) * window
+        length = (spec.frames - 1) * hop + n_fft
+        y, norm = np.zeros(length), np.zeros(length)
+        for t in range(spec.frames):
+            y[t * hop:t * hop + n_fft] += frames[t]
+            norm[t * hop:t * hop + n_fft] += window * window
+        good = norm > 1e-10
+        y[good] /= norm[good]
+        return y[n_fft // 2:length - n_fft // 2]
+
+    @pytest.mark.parametrize("n_frames,hop", [(1, 256), (2, 256), (7, 256), (1723, 256),
+                                              (9, 512), (9, 128)])
+    def test_bytes_match_frame_loop(self, n_frames, hop):
+        rng = np.random.default_rng(n_frames + hop)
+        data = rng.normal(size=(n_frames, 513)) + 1j * rng.normal(size=(n_frames, 513))
+        spec = ComplexSpectrogram(data, n_fft=1024, hop=hop, sample_rate=44100)
+        assert istft(spec).samples.tobytes() == self._frame_loop(spec).tobytes()
+
     def test_cola_violation_rejected(self):
         spec = ComplexSpectrogram(np.zeros((4, 513), dtype=complex), n_fft=1024,
                                   hop=300, sample_rate=44100)

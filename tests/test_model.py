@@ -133,8 +133,9 @@ class TestGeneratorFn:
     def test_one_window_is_whole_sequence(self, T):
         gen, params, fn = self._setup()
         x = np.random.default_rng(T).normal(size=(T, dsp.LOW_BINS))
+        dtype = params["gen.in.w"].dtype
         with tt.no_grad():
-            whole = generator_forward(params, gen, Tensor(x[None])).data[0]
+            whole = generator_forward(params, gen, Tensor(x[None], dtype=dtype)).data[0]
         np.testing.assert_array_equal(fn(x), whole)
 
     def test_prediction_sees_only_its_window(self):

@@ -197,6 +197,15 @@ class TestBackward:
         assert y.item() == 5.0
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_scalar_operand_takes_tensor_dtype(dtype):
+    x = Tensor(np.ones(3), requires_grad=True, dtype=dtype)
+    for out in (tt.add(x, 0.5), tt.sub(1.0, x), tt.mul(x, np.float64(2.0)),
+                tt.mul(np.float32(2.0), x), tt.tmean(x)):
+        assert out.dtype == dtype
+    tt.reset_tape()
+
+
 @pytest.mark.parametrize("name,fn,shapes", [
     ("add", lambda x: tt.tsum(tt.add(x[0], x[1])), [(4, 3), (4, 3)]),
     ("sub_scalar", lambda x: tt.tsum(tt.sub(x[0], x[1])), [(4, 3), ()]),

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from upband import checkpoint, model, tensor as tt, training
+from upband.config import load_config
 from upband.errors import CheckpointError, NumericError, ShapeError
 from upband.model import (all_discriminators_forward, discriminator_forward,
                           generator_forward, generator_parameter_names,
@@ -176,6 +177,28 @@ class TestTrainStep:
         assert plain.keys() == composed.keys()
         for n in plain:
             np.testing.assert_allclose(plain[n], composed[n], atol=1e-7)
+
+
+class TestPrecision:
+    def test_desk_step_and_inference_run_at_weight_precision(self, small_examples, monkeypatch):
+        cfg = load_config(None, preset="desk")
+        dtypes = []
+        result = tt._result
+
+        def recording(data, inputs, backward_fn):
+            out = result(data, inputs, backward_fn)
+            dtypes.append(out.dtype)
+            return out
+
+        monkeypatch.setattr(tt, "_result", recording)
+        state = TrainState.fresh(cfg.generator, cfg.discriminator, cfg.train)
+        low, high = sample_batch(small_examples, state.rng, cfg.train.batch_size,
+                                 cfg.train.batch_frames)
+        train_step(state, low.astype(np.float64), high.astype(np.float64))
+        assert dtypes and set(dtypes) == {np.dtype(np.float32)}
+        fn = model.make_generator_fn(state.params, cfg.generator)
+        out = fn(np.random.default_rng(0).normal(size=(100, 257)))
+        assert out.dtype == np.float32
 
 
 class TestSampleBatch:
