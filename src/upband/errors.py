@@ -4,6 +4,8 @@ Exit-code mapping used by the CLI: ConfigError -> 1, DataError -> 2,
 NumericError -> 3.
 """
 
+import math
+
 
 class UpbandError(Exception):
     """Base class for all package errors."""
@@ -31,3 +33,10 @@ class WavFormatError(DataError):
 
 class CheckpointError(DataError):
     """Unreadable or version-incompatible checkpoint file."""
+
+
+def require_positive(owner: str, **values) -> None:
+    """Refuse, as a ConfigError, any value that is not a finite number > 0."""
+    for name, value in values.items():
+        if not (math.isfinite(value) and value > 0):
+            raise ConfigError(f"{owner}: {name} must be finite and > 0, got {value}")

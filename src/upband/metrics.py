@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dsp import AudioBuffer, stft
-from .errors import DataError
+from .errors import DataError, require_positive
 
 POWER_FLOOR = 1e-10
 
@@ -22,6 +22,9 @@ class LsdConfig:
     n_fft: int = 2048
     hop: int = 512
     # hann window and base-10 log are fixed by the metric definition
+
+    def __post_init__(self):
+        require_positive("LsdConfig", n_fft=self.n_fft, hop=self.hop)
 
 
 def _log_power(audio: AudioBuffer, cfg: LsdConfig) -> np.ndarray:

@@ -5,6 +5,8 @@ conditioning bins of each frame to the 256 missing upper bins. The
 discriminators are five spectrally-normalized convolutional stacks over
 full 513-bin frames; each one partitions its channels into a different
 number of groups so it specializes on a different frequency granularity.
+``discriminator_weights`` normalizes their weights once per weight state,
+and the discriminator forwards take the dict it returns.
 
 The paper-level constants (6 transformer layers, group counts 1/4/16/64/256,
 kernel 4 stride 2) live in the config defaults, as do the widths the source
@@ -22,7 +24,7 @@ import numpy as np
 
 from . import tensor as tt
 from .dsp import HIGH_BINS, LOW_BINS, N_BINS
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, ShapeError, require_positive
 from .tensor import Tensor
 
 LEAKY_SLOPE = 0.2
@@ -37,6 +39,11 @@ class GeneratorConfig:
     max_frames: int = 128
 
     def __post_init__(self):
+        require_positive("GeneratorConfig", n_layers=self.n_layers, d_model=self.d_model,
+                         n_heads=self.n_heads, d_ff=self.d_ff, max_frames=self.max_frames)
+        if self.d_model % 2 != 0:
+            raise ConfigError(f"GeneratorConfig: d_model={self.d_model} must be even "
+                              "(positions pair a sine with a cosine)")
         if self.d_model % self.n_heads != 0:
             raise ConfigError(f"GeneratorConfig: d_model={self.d_model} not divisible by "
                               f"n_heads={self.n_heads}")
@@ -52,6 +59,9 @@ class DiscriminatorConfig:
 
     def __post_init__(self):
         self.group_counts = tuple(int(g) for g in self.group_counts)
+        require_positive("DiscriminatorConfig", group_counts=min(self.group_counts, default=0),
+                         channels=self.channels, n_layers=self.n_layers, kernel=self.kernel,
+                         stride=self.stride)
         for g in self.group_counts:
             if self.channels % g != 0:
                 raise ConfigError(f"DiscriminatorConfig: channels={self.channels} not divisible "
@@ -175,8 +185,7 @@ def init_parameters(gen_cfg: GeneratorConfig, disc_cfg: DiscriminatorConfig,
             sn.init(name, shape[0], rng)
     # converge the singular-vector estimates before the first step
     with tt.no_grad():
-        for name in sn.u:
-            spectral_normalize(params[name], sn, name, update=True)
+        discriminator_weights(params, sn, update=True)
     return params, sn
 
 
@@ -270,16 +279,24 @@ def make_generator_fn(params: dict[str, Tensor], cfg: GeneratorConfig):
 # discriminators
 
 
-def discriminator_forward(params: dict[str, Tensor], cfg: DiscriminatorConfig,
-                          full: Tensor, d_index: int, sn_state: SpectralNormState,
-                          update_sn: bool = True) -> tuple[Tensor, list[Tensor]]:
+def discriminator_weights(params: dict[str, Tensor], sn_state: SpectralNormState,
+                          update: bool) -> dict[str, Tensor]:
+    """Every ``disc*`` tensor as the discriminators use it: the weights
+    spectrally normalized (``update`` stores their u vectors), the biases as is."""
+    return {name: spectral_normalize(params[name], sn_state, name, update=update)
+            if is_spectrally_normalized(name) else params[name]
+            for name in discriminator_parameter_names(params)}
+
+
+def discriminator_forward(weights: dict[str, Tensor], cfg: DiscriminatorConfig,
+                          full: Tensor, d_index: int) -> tuple[Tensor, list[Tensor]]:
     """One grouped discriminator over full-band frames.
 
-    ``full`` is [B, T, 513]. An ungrouped 1x1 projection maps
-    the 513 bins to the channel width (513 is not divisible by the group
-    counts), then ``n_layers`` grouped stride-2 convolutions, then a 1x1
-    map to per-window logits. Spectral normalization is applied to every
-    weight. Features are the grouped-layer activations, in order.
+    ``weights`` comes from ``discriminator_weights``, ``full`` is [B, T, 513].
+    An ungrouped 1x1 projection maps the 513 bins to the channel width (513
+    is not divisible by the group counts), then ``n_layers`` grouped stride-2
+    convolutions, then a 1x1 map to per-window logits. Features are the
+    grouped-layer activations, in order.
     """
     if not 0 <= d_index < cfg.n_discriminators:
         raise ConfigError(f"discriminator_forward: d_index {d_index} out of range "
@@ -291,30 +308,25 @@ def discriminator_forward(params: dict[str, Tensor], cfg: DiscriminatorConfig,
     g = cfg.group_counts[d_index]
     p = f"disc{d_index}"
 
-    w = spectral_normalize(params[f"{p}.proj.w"], sn_state, f"{p}.proj.w", update=update_sn)
-    h = tt.leaky_relu(tt.conv1d_grouped(x, w, params[f"{p}.proj.b"]), LEAKY_SLOPE)
-
+    h = tt.leaky_relu(tt.conv1d_grouped(x, weights[f"{p}.proj.w"], weights[f"{p}.proj.b"]),
+                      LEAKY_SLOPE)
     features: list[Tensor] = []
     for i in range(1, cfg.n_layers + 1):
-        w = spectral_normalize(params[f"{p}.conv{i}.w"], sn_state, f"{p}.conv{i}.w",
-                               update=update_sn)
         h = tt.leaky_relu(
-            tt.conv1d_grouped(h, w, params[f"{p}.conv{i}.b"], stride=cfg.stride,
-                              padding=1, groups=g), LEAKY_SLOPE)
+            tt.conv1d_grouped(h, weights[f"{p}.conv{i}.w"], weights[f"{p}.conv{i}.b"],
+                              stride=cfg.stride, padding=1, groups=g), LEAKY_SLOPE)
         features.append(h)
 
-    w = spectral_normalize(params[f"{p}.out.w"], sn_state, f"{p}.out.w", update=update_sn)
-    logits = tt.conv1d_grouped(h, w, params[f"{p}.out.b"])  # [B, 1, T']
-    logits = tt.transpose(logits, (0, 2, 1))                # [B, T', 1]
+    logits = tt.conv1d_grouped(h, weights[f"{p}.out.w"], weights[f"{p}.out.b"])  # [B, 1, T']
+    logits = tt.transpose(logits, (0, 2, 1))                                      # [B, T', 1]
     return logits, features
 
 
-def all_discriminators_forward(params, cfg: DiscriminatorConfig, full: Tensor,
-                               sn_state: SpectralNormState, update_sn: bool = True):
+def all_discriminators_forward(weights, cfg: DiscriminatorConfig, full: Tensor):
     """Run every discriminator on the same input; independent logits/features."""
     logits, feats = [], []
     for j in range(cfg.n_discriminators):
-        lg, ft = discriminator_forward(params, cfg, full, j, sn_state, update_sn=update_sn)
+        lg, ft = discriminator_forward(weights, cfg, full, j)
         logits.append(lg)
         feats.append(ft)
     return logits, feats

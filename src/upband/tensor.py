@@ -3,8 +3,9 @@
 A module-level tape records every primitive applied to a tensor that
 requires gradients. ``backward`` replays the tape once in reverse,
 accumulates gradients additively into every requires-grad tensor on the
-path, and clears the tape. Float32 is the working precision; float64 is
-used by the finite-difference checker.
+path, and removes the loss's ancestors from the tape; other nodes stay for
+a later backward. Float32 is the working precision; float64 is used by the
+finite-difference checker.
 
 A Python or numpy scalar passed to ``add``/``sub``/``mul`` takes the other
 operand's dtype, so ``mul(x32, 0.5)`` stays float32 and ``mul(x64, 0.5)``
@@ -88,9 +89,6 @@ class Tape:
         self.nodes: list[_Node] = []
         self.enabled = True
 
-    def clear(self):
-        self.nodes.clear()
-
 
 _tape = Tape()
 
@@ -100,7 +98,7 @@ def active_tape() -> Tape:
 
 
 def reset_tape() -> None:
-    _tape.clear()
+    _tape.nodes.clear()
 
 
 class no_grad:
@@ -426,13 +424,13 @@ def layer_norm(x, gain, shift, eps: float = 1e-5) -> Tensor:
 def backward(loss: Tensor) -> None:
     """Accumulate d(loss)/d(t) into t.grad for every requires-grad ancestor.
 
-    The loss must be a scalar produced on the active tape; the tape is
-    cleared afterwards (a second backward needs a fresh forward pass).
+    The loss must be a scalar produced on the active tape. The nodes it
+    propagates through are removed from the tape, the rest stay: a node two
+    losses share is consumed by the first backward.
     """
     if loss.size != 1:
         raise ShapeError(f"backward: loss must be scalar, got shape {loss.shape}")
-    produced = {id(n.out) for n in _tape.nodes}
-    if id(loss) not in produced:
+    if not any(n.out is loss for n in _tape.nodes):
         raise ShapeError("backward: loss was not produced on the active tape "
                          "(tape empty or already consumed)")
     grads: dict[int, tuple[Tensor, np.ndarray]] = {
@@ -455,7 +453,7 @@ def backward(loss: Tensor) -> None:
     for tensor, g in grads.values():
         if tensor.requires_grad:
             tensor.grad = g if tensor.grad is None else tensor.grad + g
-    _tape.clear()
+    _tape.nodes[:] = [n for n in _tape.nodes if id(n.out) not in grads]
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ matching), both with Adam at the published learning rates and betas.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
@@ -16,11 +17,12 @@ import numpy as np
 
 from . import checkpoint as ckpt
 from . import tensor as tt
-from .errors import CheckpointError, DataError, NumericError, ShapeError
+from .errors import (CheckpointError, ConfigError, DataError, NumericError, ShapeError,
+                     require_positive)
 from .model import (DiscriminatorConfig, GeneratorConfig, SpectralNormState,
                     all_discriminators_forward, discriminator_parameter_names,
-                    generator_forward, generator_parameter_names, init_parameters,
-                    is_spectrally_normalized, parameter_shapes)
+                    discriminator_weights, generator_forward, generator_parameter_names,
+                    init_parameters, is_spectrally_normalized, parameter_shapes)
 from .tensor import Tensor
 
 
@@ -39,11 +41,13 @@ class TrainConfig:
     checkpoint_interval: int = 500
 
     def __post_init__(self):
-        from .errors import ConfigError
         if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
             raise ConfigError(f"TrainConfig: betas ({self.beta1}, {self.beta2}) must lie in [0, 1)")
-        if self.lr_g <= 0 or self.lr_d <= 0:
-            raise ConfigError("TrainConfig: learning rates must be positive")
+        require_positive("TrainConfig", lr_g=self.lr_g, lr_d=self.lr_d, eps=self.eps,
+                         batch_frames=self.batch_frames, batch_size=self.batch_size)
+        if not (math.isfinite(self.fm_weight) and self.fm_weight >= 0):
+            raise ConfigError(f"TrainConfig: fm_weight must be finite and >= 0, "
+                              f"got {self.fm_weight}")
 
 
 class AdamState:
@@ -57,8 +61,8 @@ class AdamState:
 
 def adam_step(params: dict[str, Tensor], names, state: AdamState,
               lr: float, beta1: float, beta2: float, eps: float) -> None:
-    """Bias-corrected Adam update over ``names``; with beta1=0 the first
-    moment equals the current gradient exactly."""
+    """Bias-corrected Adam update over ``names`` that clears each gradient it
+    applies; with beta1=0 the first moment equals the current gradient exactly."""
     state.t += 1
     t = state.t
     for name in names:
@@ -81,6 +85,7 @@ def adam_step(params: dict[str, Tensor], names, state: AdamState,
         m_hat = m / (1.0 - beta1 ** t)
         v_hat = v / (1.0 - beta2 ** t)
         p.data -= (lr * m_hat / (np.sqrt(v_hat) + eps)).astype(p.dtype)
+        p.grad = None
 
 
 # ---------------------------------------------------------------------------
@@ -170,59 +175,53 @@ class StepReport:
         return f"{self.step}\t{self.d_loss:.6f}\t{self.g_adv:.6f}\t{self.g_fm:.6f}"
 
 
-def _zero_grads(params):
-    for p in params.values():
-        p.grad = None
-
-
 def train_step(state: TrainState, low: np.ndarray, high_real: np.ndarray) -> StepReport:
     """One discriminator update followed by one generator update.
 
     ``low`` is [B, T, 257] conditioning log magnitudes, ``high_real`` the
     matching [B, T, 256] ground-truth upper bins. Both are cast to the
-    weights' dtype, so the detached prediction, and every op of the step,
-    runs at that precision.
+    weights' dtype, so every op of the step runs at that precision.
+
+    The generator runs once, on the tape. The discriminator update takes its
+    prediction detached, and its backward leaves the generator's nodes for
+    the generator update, which holds every discriminator tensor constant.
     """
     if low.ndim != 3 or high_real.ndim != 3 or low.shape[:2] != high_real.shape[:2]:
         raise ShapeError(f"train_step: inconsistent batch shapes {low.shape} / {high_real.shape}")
     t0 = time.perf_counter()
     cfg = state.train_cfg
-    params = state.params
+    params, sn, disc_cfg = state.params, state.sn, state.disc_cfg
     dtype = params["gen.in.w"].dtype
     low, high_real = low.astype(dtype, copy=False), high_real.astype(dtype, copy=False)
-    gen_names = generator_parameter_names(params)
-    disc_names = discriminator_parameter_names(params)
-    real_full = np.concatenate([low, high_real], axis=2)
+    low_t = Tensor(low)
+    real_full = Tensor(np.concatenate([low, high_real], axis=2))
+    tt.reset_tape()
+    fake = generator_forward(params, state.gen_cfg, low_t)
 
     # -- discriminator update (generator frozen, fake detached)
-    with tt.no_grad():
-        fake = generator_forward(params, state.gen_cfg, Tensor(low)).data
-    fake_full = np.concatenate([low, fake], axis=2)
-    tt.reset_tape()
-    real_logits, _ = all_discriminators_forward(params, state.disc_cfg, Tensor(real_full),
-                                                state.sn, update_sn=True)
-    fake_logits, _ = all_discriminators_forward(params, state.disc_cfg, Tensor(fake_full),
-                                                state.sn, update_sn=False)
+    fake_full = Tensor(np.concatenate([low, fake.data], axis=2))
+    real_logits, _ = all_discriminators_forward(discriminator_weights(params, sn, update=True),
+                                                disc_cfg, real_full)
+    fake_logits, _ = all_discriminators_forward(discriminator_weights(params, sn, update=False),
+                                                disc_cfg, fake_full)
     d_loss = hinge_d_loss(real_logits, fake_logits)
     tt.backward(d_loss)
-    adam_step(params, disc_names, state.adam_d, cfg.lr_d, cfg.beta1, cfg.beta2, cfg.eps)
-    _zero_grads(params)
+    adam_step(params, discriminator_parameter_names(params), state.adam_d,
+              cfg.lr_d, cfg.beta1, cfg.beta2, cfg.eps)
 
     # -- generator update against the freshly updated discriminators
-    tt.reset_tape()
-    fake_t = generator_forward(params, state.gen_cfg, Tensor(low))
-    fake_full_t = tt.concat([Tensor(low), fake_t], axis=2)
-    fake_logits2, fake_feats = all_discriminators_forward(params, state.disc_cfg, fake_full_t,
-                                                          state.sn, update_sn=False)
     with tt.no_grad():
-        _, real_feats = all_discriminators_forward(params, state.disc_cfg, Tensor(real_full),
-                                                   state.sn, update_sn=False)
-    g_adv = hinge_g_loss(fake_logits2)
+        frozen = {name: Tensor(w.data)
+                  for name, w in discriminator_weights(params, sn, update=False).items()}
+        _, real_feats = all_discriminators_forward(frozen, disc_cfg, real_full)
+    fake_logits, fake_feats = all_discriminators_forward(frozen, disc_cfg,
+                                                         tt.concat([low_t, fake], axis=2))
+    g_adv = hinge_g_loss(fake_logits)
     g_fm = feature_matching_loss(real_feats, fake_feats)
     g_loss = tt.add(g_adv, tt.mul(g_fm, cfg.fm_weight)) if cfg.fm_weight else g_adv
     tt.backward(g_loss)
-    adam_step(params, gen_names, state.adam_g, cfg.lr_g, cfg.beta1, cfg.beta2, cfg.eps)
-    _zero_grads(params)
+    adam_step(params, generator_parameter_names(params), state.adam_g,
+              cfg.lr_g, cfg.beta1, cfg.beta2, cfg.eps)
 
     state.step += 1
     report = StepReport(step=state.step, d_loss=d_loss.item(), g_adv=g_adv.item(),

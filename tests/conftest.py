@@ -3,8 +3,16 @@ import struct
 import numpy as np
 import pytest
 
-from upband import data
+from upband import data, tensor as tt
 from upband.model import DiscriminatorConfig, GeneratorConfig
+
+
+@pytest.fixture(autouse=True)
+def empty_tape():
+    """Start every test on an empty tape: a backward keeps the nodes that
+    are not its loss's ancestors, so they would otherwise reach the next
+    test."""
+    tt.reset_tape()
 
 
 def tiny_gen_cfg(**kw):

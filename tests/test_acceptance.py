@@ -15,8 +15,8 @@ from upband import cli, data, dsp, metrics, model, selfcheck, tensor as tt, trai
 from upband.dsp import AudioBuffer
 from upband.model import (DiscriminatorConfig, GeneratorConfig,
                           all_discriminators_forward, discriminator_forward,
-                          discriminator_parameter_names, generator_forward,
-                          generator_parameter_names, init_parameters)
+                          discriminator_parameter_names, discriminator_weights,
+                          generator_forward, generator_parameter_names, init_parameters)
 from upband.tensor import Tensor
 from upband.training import (TrainConfig, TrainState, feature_matching_loss,
                              hinge_d_loss, hinge_g_loss, sample_batch,
@@ -231,17 +231,16 @@ def _composed_loss_check(seed, dtype, rel_tol, which):
 
         def build_loss(ps):
             dt = ps["gen.in.w"].dtype
-            rl, _f = all_discriminators_forward(ps, disc, Tensor(real_full, dtype=dt), sn,
-                                                update_sn=False)
-            fl, _f = all_discriminators_forward(ps, disc, Tensor(fake_full, dtype=dt), sn,
-                                                update_sn=False)
+            weights = discriminator_weights(ps, sn, update=False)
+            rl, _f = all_discriminators_forward(weights, disc, Tensor(real_full, dtype=dt))
+            fl, _f = all_discriminators_forward(weights, disc, Tensor(fake_full, dtype=dt))
             return hinge_d_loss(rl, fl)
     else:
         # the real-side features are constants of the generator objective,
         # so they are computed once and closed over
         with tt.no_grad():
-            _, real_feats = all_discriminators_forward(params, disc, Tensor(real_full), sn,
-                                                       update_sn=False)
+            _, real_feats = all_discriminators_forward(
+                discriminator_weights(params, sn, update=False), disc, Tensor(real_full))
         real_feats = [[f.data.copy() for f in d] for d in real_feats]
         candidates = _small_names(params, "gen") + _small_names(params, "disc")
 
@@ -250,8 +249,8 @@ def _composed_loss_check(seed, dtype, rel_tol, which):
             low_t = Tensor(low, dtype=dt)
             fake_t = generator_forward(ps, gen, low_t)
             full = tt.concat([low_t, fake_t], axis=2)
-            logits, fake_feats = all_discriminators_forward(ps, disc, full, sn,
-                                                            update_sn=False)
+            logits, fake_feats = all_discriminators_forward(
+                discriminator_weights(ps, sn, update=False), disc, full)
             adv = hinge_g_loss(logits)
             fm = feature_matching_loss([[f.astype(dt) for f in d] for d in real_feats],
                                        fake_feats)
@@ -380,7 +379,6 @@ def test_06_spectral_norm_bounded_through_training(small_examples):
 
 
 def test_07_gan_structure():
-    tt.reset_tape()
     margins = hinge_d_loss([Tensor(np.array([1.0, 1.0]))],
                            [Tensor(np.array([-1.0, -1.0]))])
     assert margins.item() == 0.0
@@ -388,10 +386,12 @@ def test_07_gan_structure():
     gen, disc, params, sn = _micro_model(3)
     x = Tensor(np.random.default_rng(0).normal(size=(1, 8, 513)).astype(np.float32))
     with tt.no_grad():
-        _, feats_a = discriminator_forward(params, disc, x, 0, sn, update_sn=False)
+        _, feats_a = discriminator_forward(discriminator_weights(params, sn, update=False),
+                                           disc, x, 0)
         params["disc0.out.w"].data += 50.0
         params["disc0.out.b"].data += 50.0
-        _, feats_b = discriminator_forward(params, disc, x, 0, sn, update_sn=False)
+        _, feats_b = discriminator_forward(discriminator_weights(params, sn, update=False),
+                                           disc, x, 0)
     for a, b in zip(feats_a, feats_b):
         np.testing.assert_array_equal(a.data, b.data)
 

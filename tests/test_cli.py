@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -134,6 +139,33 @@ class TestCliTrain:
             assert rc == 0
             logs.append((run / "loss.log").read_text())
         assert logs[0] == logs[1]
+
+
+    @pytest.mark.parametrize("command,text", [
+        ("train", "[generator]\nn_heads = 0"),
+        ("train", "[generator]\nd_model = 129\nn_heads = 3"),
+        ("train", "[discriminator]\nchannels = 0"),
+        ("train", "[discriminator]\ngroup_counts = 1, 0"),
+        ("train", "[train]\nbatch_size = 0"),
+        ("train", "[train]\nbatch_frames = 0"),
+        ("train", "[train]\nlr_g = nan"),
+        ("train", "[train]\neps = inf"),
+        ("train", "[train]\nfm_weight = nan"),
+        ("evaluate", "[lsd]\nn_fft = 0"),
+    ], ids=["n_heads", "odd_d_model", "channels", "group_count", "batch_size", "batch_frames",
+            "lr_g", "eps", "fm_weight", "lsd_n_fft"])
+    def test_bad_config_value_exit_1(self, cli_corpus, tmp_path, command, text):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text + "\n")
+        args = ["--max-steps", "2"] if command == "train" else ["--baseline"]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "upband.cli", command, "--preset", "desk", "--config",
+             str(cfg), "--corpus", str(cli_corpus), "--run-dir", str(tmp_path / "run"), *args],
+            capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == 1, proc.stderr
+        assert "config error:" in proc.stderr and "Traceback" not in proc.stderr
 
 
 class TestCliUpsample:

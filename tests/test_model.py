@@ -5,8 +5,8 @@ from upband import config, dsp, model, tensor as tt
 from upband.errors import ConfigError, ShapeError
 from upband.model import (DiscriminatorConfig, GeneratorConfig, SpectralNormState,
                           all_discriminators_forward, discriminator_forward,
-                          generator_forward, init_parameters, parameter_shapes,
-                          spectral_normalize)
+                          discriminator_weights, generator_forward, init_parameters,
+                          parameter_shapes, spectral_normalize)
 from upband.tensor import Tensor
 
 from conftest import tiny_disc_cfg, tiny_gen_cfg
@@ -155,38 +155,51 @@ class TestDiscriminator:
         disc = tiny_disc_cfg()
         params, sn = init_parameters(tiny_gen_cfg(), disc, seed=1)
         with tt.no_grad():
-            logits, _ = discriminator_forward(params, disc, Tensor(np.zeros((1, 64, 513))),
-                                              0, sn, update_sn=False)
+            weights = discriminator_weights(params, sn, update=False)
+            logits, _ = discriminator_forward(weights, disc, Tensor(np.zeros((1, 64, 513))), 0)
         assert logits.shape == (1, 4, 1)
 
     def test_features_exclude_projection_and_logits(self):
         disc = tiny_disc_cfg()
         params, sn = init_parameters(tiny_gen_cfg(), disc, seed=1)
         with tt.no_grad():
-            _, feats = discriminator_forward(params, disc, Tensor(np.zeros((1, 32, 513))),
-                                             1, sn, update_sn=False)
+            weights = discriminator_weights(params, sn, update=False)
+            _, feats = discriminator_forward(weights, disc, Tensor(np.zeros((1, 32, 513))), 1)
         assert len(feats) == disc.n_layers
 
     def test_ensemble_size(self):
         disc = tiny_disc_cfg()
         params, sn = init_parameters(tiny_gen_cfg(), disc, seed=1)
         with tt.no_grad():
-            logits, feats = all_discriminators_forward(params, disc,
-                                                       Tensor(np.zeros((1, 32, 513))),
-                                                       sn, update_sn=False)
+            weights = discriminator_weights(params, sn, update=False)
+            logits, feats = all_discriminators_forward(weights, disc,
+                                                       Tensor(np.zeros((1, 32, 513))))
         assert len(logits) == len(feats) == disc.n_discriminators
+
+    def test_weights_normalize_each_weight_and_pass_biases(self):
+        disc = tiny_disc_cfg()
+        params, sn = init_parameters(tiny_gen_cfg(), disc, seed=1)
+        with tt.no_grad():
+            weights = discriminator_weights(params, sn, update=False)
+            assert list(weights) == model.discriminator_parameter_names(params)
+            for name, w in weights.items():
+                if name.endswith(".b"):
+                    assert w is params[name]
+                else:
+                    expected = spectral_normalize(params[name], sn, name, update=False)
+                    np.testing.assert_array_equal(w.data, expected.data)
 
     def test_bad_index_rejected(self):
         disc = tiny_disc_cfg()
-        params, sn = init_parameters(tiny_gen_cfg(), disc, seed=1)
+        params, _ = init_parameters(tiny_gen_cfg(), disc, seed=1)
         with pytest.raises(ConfigError):
-            discriminator_forward(params, disc, Tensor(np.zeros((1, 32, 513))), 9, sn)
+            discriminator_forward(params, disc, Tensor(np.zeros((1, 32, 513))), 9)
 
     def test_unbatched_input_rejected(self):
         disc = tiny_disc_cfg()
-        params, sn = init_parameters(tiny_gen_cfg(), disc, seed=1)
+        params, _ = init_parameters(tiny_gen_cfg(), disc, seed=1)
         with pytest.raises(ShapeError):
-            discriminator_forward(params, disc, Tensor(np.zeros((32, 513))), 0, sn)
+            discriminator_forward(params, disc, Tensor(np.zeros((32, 513))), 0)
 
 
 class TestSpectralNormalize:

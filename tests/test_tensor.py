@@ -28,7 +28,6 @@ class TestMatmul:
         rng = np.random.default_rng(0)
         a = t64(rng.normal(size=(3, 4)))
         b = t64(rng.normal(size=(4, 5)))
-        tt.reset_tape()
         tt.backward(tt.tsum(tt.matmul(a, b)))
         np.testing.assert_allclose(a.grad, np.ones((3, 5)) @ b.data.T, rtol=1e-12)
 
@@ -110,7 +109,6 @@ class TestReductions:
 
     def test_mean_grad_is_one_over_n(self):
         x = t64([1.0, 5.0, -2.0, 0.5])
-        tt.reset_tape()
         tt.backward(tt.tmean(x))
         np.testing.assert_allclose(x.grad, np.full(4, 0.25))
 
@@ -156,26 +154,37 @@ class TestLayerNorm:
 class TestBackward:
     def test_sum_grad_is_ones(self):
         x = t64([1.0, 2.0, 3.0])
-        tt.reset_tape()
         tt.backward(tt.tsum(x))
         np.testing.assert_array_equal(x.grad, [1.0, 1.0, 1.0])
 
     def test_quadratic_grad(self):
         x = t64([1.0, 2.0])
-        tt.reset_tape()
         tt.backward(tt.tsum(tt.mul(x, x)))
         np.testing.assert_allclose(x.grad, [2.0, 4.0])
 
     def test_grad_accumulates_across_backwards(self):
         x = t64([1.0, 2.0])
-        tt.reset_tape()
         tt.backward(tt.tsum(x))
         tt.backward(tt.tsum(tt.mul(x, 2.0)))
         np.testing.assert_allclose(x.grad, [3.0, 3.0])
 
+    def test_two_losses_share_one_tape(self):
+        x = t64([1.0, -2.0, 3.0])
+        first = tt.tsum(tt.mul(x, x))
+        second = tt.tsum(tt.mul(tt.gelu(x), 3.0))
+        kept = tt.active_tape().nodes[2:]
+        tt.backward(first)
+        assert tt.active_tape().nodes == kept
+        x.zero_grad()
+        tt.backward(second)
+        assert not tt.active_tape().nodes
+        shared = x.grad
+        x.zero_grad()
+        tt.backward(tt.tsum(tt.mul(tt.gelu(x), 3.0)))
+        np.testing.assert_array_equal(shared, x.grad)
+
     def test_non_scalar_loss_rejected(self):
         x = t64([1.0, 2.0])
-        tt.reset_tape()
         y = tt.mul(x, 2.0)
         with pytest.raises(ShapeError):
             tt.backward(y)
@@ -184,7 +193,7 @@ class TestBackward:
         x = t64([1.0])
         tt.reset_tape()
         y = tt.tsum(x)
-        tt.backward(y)  # consumes the tape
+        tt.backward(y)  # consumes the nodes that made y
         with pytest.raises(ShapeError):
             tt.backward(y)
 
@@ -203,7 +212,6 @@ def test_scalar_operand_takes_tensor_dtype(dtype):
     for out in (tt.add(x, 0.5), tt.sub(1.0, x), tt.mul(x, np.float64(2.0)),
                 tt.mul(np.float32(2.0), x), tt.tmean(x)):
         assert out.dtype == dtype
-    tt.reset_tape()
 
 
 @pytest.mark.parametrize("name,fn,shapes", [

@@ -7,8 +7,8 @@ from upband import checkpoint, model, tensor as tt, training
 from upband.config import load_config
 from upband.errors import CheckpointError, NumericError, ShapeError
 from upband.model import (all_discriminators_forward, discriminator_forward,
-                          generator_forward, generator_parameter_names,
-                          init_parameters)
+                          discriminator_parameter_names, discriminator_weights,
+                          generator_forward, generator_parameter_names, init_parameters)
 from upband.tensor import Tensor
 from upband.training import (AdamState, TrainConfig, TrainState, adam_step,
                              feature_matching_loss, hinge_d_loss, hinge_g_loss,
@@ -24,32 +24,26 @@ def _logits(values):
 
 class TestHingeLosses:
     def test_d_zero_at_margins(self):
-        tt.reset_tape()
         loss = hinge_d_loss(_logits([[1.0, 1.0]]), _logits([[-1.0, -1.0]]))
         assert loss.item() == 0.0
 
     def test_d_two_at_zero_logits(self):
-        tt.reset_tape()
         loss = hinge_d_loss(_logits([[0.0], [0.0]]), _logits([[0.0], [0.0]]))
         assert loss.item() == pytest.approx(2.0)
 
     def test_d_saturates(self):
-        tt.reset_tape()
         loss = hinge_d_loss(_logits([[2.0]]), _logits([[-3.0]]))
         assert loss.item() == 0.0
 
     def test_g_zero_logits(self):
-        tt.reset_tape()
         assert hinge_g_loss(_logits([[0.0, 0.0]])).item() == 0.0
 
     def test_g_negated_mean(self):
-        tt.reset_tape()
         assert hinge_g_loss(_logits([[5.0, 5.0]])).item() == pytest.approx(-5.0)
 
     def test_g_gradient_pushes_logits_up(self):
         # 1-parameter toy discriminator: logit = w * x
         w = Tensor(np.array(0.5, dtype=np.float64), requires_grad=True, dtype=np.float64)
-        tt.reset_tape()
         logit = tt.mul(w, 2.0)
         loss = hinge_g_loss([logit])
         tt.backward(loss)
@@ -71,13 +65,11 @@ class TestFeatureMatching:
     def test_identical_is_zero(self):
         real = self._feats()
         fake = [[Tensor(a.copy()) for a in d] for d in real]
-        tt.reset_tape()
         assert feature_matching_loss(real, fake).item() == 0.0
 
     def test_constant_offset(self):
         real = self._feats()
         fake = [[Tensor(a + 1.0) for a in d] for d in real]
-        tt.reset_tape()
         assert feature_matching_loss(real, fake).item() == pytest.approx(1.0, rel=1e-6)
 
     def test_logits_layer_excluded(self):
@@ -85,9 +77,11 @@ class TestFeatureMatching:
         params, sn = init_parameters(tiny_gen_cfg(), disc, seed=2)
         x = Tensor(np.random.default_rng(0).normal(size=(1, 32, 513)).astype(np.float32))
         with tt.no_grad():
-            _, feats_a = discriminator_forward(params, disc, x, 0, sn, update_sn=False)
+            _, feats_a = discriminator_forward(discriminator_weights(params, sn, update=False),
+                                               disc, x, 0)
             params["disc0.out.b"].data += 100.0  # perturb the logit head only
-            _, feats_b = discriminator_forward(params, disc, x, 0, sn, update_sn=False)
+            _, feats_b = discriminator_forward(discriminator_weights(params, sn, update=False),
+                                               disc, x, 0)
         for a, b in zip(feats_a, feats_b):
             np.testing.assert_array_equal(a.data, b.data)
 
@@ -159,13 +153,12 @@ class TestTrainStep:
             tt.reset_tape()
             fake = generator_forward(params, gen, Tensor(low))
             full = tt.concat([Tensor(low), fake], axis=2)
-            logits, fake_feats = all_discriminators_forward(params, disc, full, sn,
-                                                            update_sn=False)
+            weights = discriminator_weights(params, sn, update=False)
+            logits, fake_feats = all_discriminators_forward(weights, disc, full)
             loss = hinge_g_loss(logits)
             if include_zero_fm:
                 with tt.no_grad():
-                    _, real_feats = all_discriminators_forward(params, disc, full, sn,
-                                                               update_sn=False)
+                    _, real_feats = all_discriminators_forward(weights, disc, full)
                 fm = feature_matching_loss(real_feats, fake_feats)
                 loss = tt.add(loss, tt.mul(fm, 0.0))
             tt.backward(loss)
@@ -177,6 +170,98 @@ class TestTrainStep:
         assert plain.keys() == composed.keys()
         for n in plain:
             np.testing.assert_allclose(plain[n], composed[n], atol=1e-7)
+
+
+    def test_desk_step_runs_generator_once_and_freezes_discriminators(self, small_examples,
+                                                                         monkeypatch):
+        cfg = load_config(None, preset="desk")
+        state = TrainState.fresh(cfg.generator, cfg.discriminator, cfg.train)
+        low, high = sample_batch(small_examples, state.rng, cfg.train.batch_size,
+                                 cfg.train.batch_frames)
+        calls = {"gen": 0, "sn": 0}
+
+        def counting(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(training, "generator_forward",
+                            counting("gen", training.generator_forward))
+        monkeypatch.setattr(model, "spectral_normalize",
+                            counting("sn", model.spectral_normalize))
+        train_step(state, low, high)
+        # 30 weights: real and fake D passes, then one G-phase normalization
+        assert calls == {"gen": 1, "sn": 90}
+        assert all(state.params[n].grad is None
+                   for n in discriminator_parameter_names(state.params))
+
+
+def _reference_step(state, low, high_real):
+    """The training step as it was first written, kept as an oracle: the
+    generator runs once per phase, the discriminator weights are normalized
+    for each of the four passes, and each phase clears the whole tape and
+    every gradient."""
+    cfg, params, sn, disc = state.train_cfg, state.params, state.sn, state.disc_cfg
+    real_full = np.concatenate([low, high_real], axis=2)
+
+    def clear():
+        tt.reset_tape()
+        for p in params.values():
+            p.grad = None
+
+    with tt.no_grad():
+        fake = generator_forward(params, state.gen_cfg, Tensor(low)).data
+    fake_full = np.concatenate([low, fake], axis=2)
+    clear()
+    real_logits, _ = all_discriminators_forward(discriminator_weights(params, sn, update=True),
+                                                disc, Tensor(real_full))
+    fake_logits, _ = all_discriminators_forward(discriminator_weights(params, sn, update=False),
+                                                disc, Tensor(fake_full))
+    d_loss = hinge_d_loss(real_logits, fake_logits)
+    tt.backward(d_loss)
+    adam_step(params, discriminator_parameter_names(params), state.adam_d,
+              cfg.lr_d, cfg.beta1, cfg.beta2, cfg.eps)
+    clear()
+
+    fake_t = generator_forward(params, state.gen_cfg, Tensor(low))
+    logits, fake_feats = all_discriminators_forward(
+        discriminator_weights(params, sn, update=False), disc,
+        tt.concat([Tensor(low), fake_t], axis=2))
+    with tt.no_grad():
+        _, real_feats = all_discriminators_forward(
+            discriminator_weights(params, sn, update=False), disc, Tensor(real_full))
+    g_adv = hinge_g_loss(logits)
+    g_fm = feature_matching_loss(real_feats, fake_feats)
+    tt.backward(tt.add(g_adv, tt.mul(g_fm, cfg.fm_weight)))
+    adam_step(params, generator_parameter_names(params), state.adam_g,
+              cfg.lr_g, cfg.beta1, cfg.beta2, cfg.eps)
+    clear()
+    state.step += 1
+    return d_loss.item(), g_adv.item(), g_fm.item()
+
+
+def test_step_matches_reference_bit_for_bit(small_examples):
+    cfg = TrainConfig(batch_size=2, batch_frames=16, seed=0)
+    states = [TrainState.fresh(tiny_gen_cfg(), tiny_disc_cfg(), cfg) for _ in range(2)]
+    rng = np.random.default_rng(11)
+    for _ in range(3):
+        low, high = sample_batch(small_examples, rng, 2, 16)
+        report = train_step(states[0], low, high)
+        assert (report.d_loss, report.g_adv, report.g_fm) == _reference_step(states[1], low, high)
+    step, ref = states
+    assert step.step == ref.step == 3
+    for name in step.params:
+        np.testing.assert_array_equal(step.params[name].data, ref.params[name].data)
+    assert step.sn.u.keys() == ref.sn.u.keys()
+    for name in step.sn.u:
+        np.testing.assert_array_equal(step.sn.u[name], ref.sn.u[name])
+    for tag in ("adam_g", "adam_d"):
+        a, b = getattr(step, tag), getattr(ref, tag)
+        assert a.t == b.t and a.m.keys() == b.m.keys() == a.v.keys()
+        for name in a.m:
+            np.testing.assert_array_equal(a.m[name], b.m[name])
+            np.testing.assert_array_equal(a.v[name], b.v[name])
 
 
 class TestPrecision:
