@@ -13,6 +13,7 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.fft import next_fast_len
 
 from .errors import DataError, ShapeError
 
@@ -114,22 +115,6 @@ def sinc_upsample(audio: AudioBuffer, factor: int) -> AudioBuffer:
     return AudioBuffer(y, audio.sample_rate * factor)
 
 
-def _fft_size(n: int) -> int:
-    """Smallest 2^a * 3^b * 5^c >= n, a length numpy's FFT handles quickly."""
-    best = 1 << max(n - 1, 0).bit_length()
-    p5 = 1
-    while p5 < best:
-        p35 = p5
-        while p35 < best:
-            q = p35
-            while q < n:
-                q *= 2
-            best = min(best, q)
-            p35 *= 3
-        p5 *= 5
-    return best
-
-
 def downsample(audio: AudioBuffer, factor: int) -> AudioBuffer:
     """Anti-aliased decimation; trims the tail to a multiple of factor.
 
@@ -146,7 +131,7 @@ def downsample(audio: AudioBuffer, factor: int) -> AudioBuffer:
     x = x[:n]
     h = _windowed_sinc(0.5 / factor, DECIMATOR_TAPS)
     delay = (len(h) - 1) // 2
-    size = _fft_size(n + len(h) - 1)  # no circular wrap into the kept samples
+    size = next_fast_len(n + len(h) - 1, real=True)  # no circular wrap into the kept samples
     y = np.fft.irfft(np.fft.rfft(x, size) * np.fft.rfft(h, size), size)[delay:delay + n]
     return AudioBuffer(y[::factor], audio.sample_rate // factor)
 

@@ -449,7 +449,7 @@ def backward(loss: Tensor) -> None:
             if key in grads:
                 grads[key] = (inp, grads[key][1] + gin)
             else:
-                grads[key] = (inp, np.array(gin, copy=True))
+                grads[key] = (inp, gin)
     for tensor, g in grads.values():
         if tensor.requires_grad:
             tensor.grad = g if tensor.grad is None else tensor.grad + g

@@ -92,17 +92,19 @@ def adam_step(params: dict[str, Tensor], names, state: AdamState,
 # losses
 
 
-def hinge_d_loss(real_logits: list[Tensor], fake_logits: list[Tensor]) -> Tensor:
-    """max(0, 1 - D(real)) + max(0, 1 + D(fake)), averaged over patches
-    and discriminators."""
-    if not real_logits or len(real_logits) != len(fake_logits):
-        raise ShapeError("hinge_d_loss: need matching non-empty logit lists")
+def hinge_d_loss(logits: list[Tensor]) -> Tensor:
+    """max(0, 1 - D(real)) + max(0, 1 + D(fake)), averaged over patches and
+    discriminators; each tensor's first half of rows is real, the second fake."""
+    if not logits:
+        raise ShapeError("hinge_d_loss: empty logit list")
     total = None
-    for r, f in zip(real_logits, fake_logits):
-        term = tt.add(tt.tmean(tt.max_with_scalar(tt.sub(1.0, r), 0.0)),
-                      tt.tmean(tt.max_with_scalar(tt.add(1.0, f), 0.0)))
+    for x in logits:
+        if x.shape[0] % 2:
+            raise ShapeError(f"hinge_d_loss: {x.shape[0]} rows do not split into real and fake")
+        sign = np.repeat(np.array([1.0, -1.0], dtype=x.dtype), x.size // 2).reshape(x.shape)
+        term = tt.tmean(tt.max_with_scalar(tt.sub(1.0, tt.mul(x, sign)), 0.0))
         total = term if total is None else tt.add(total, term)
-    return tt.mul(total, 1.0 / len(real_logits))
+    return tt.mul(total, 2.0 / len(logits))
 
 
 def hinge_g_loss(fake_logits: list[Tensor]) -> Tensor:
@@ -182,9 +184,10 @@ def train_step(state: TrainState, low: np.ndarray, high_real: np.ndarray) -> Ste
     matching [B, T, 256] ground-truth upper bins. Both are cast to the
     weights' dtype, so every op of the step runs at that precision.
 
-    The generator runs once, on the tape. The discriminator update takes its
-    prediction detached, and its backward leaves the generator's nodes for
-    the generator update, which holds every discriminator tensor constant.
+    The generator runs once, on the tape. The discriminator update normalizes
+    its weights once and scores real and detached fake frames as one batch;
+    its backward leaves the generator's nodes for the generator update, which
+    holds every discriminator tensor constant.
     """
     if low.ndim != 3 or high_real.ndim != 3 or low.shape[:2] != high_real.shape[:2]:
         raise ShapeError(f"train_step: inconsistent batch shapes {low.shape} / {high_real.shape}")
@@ -194,17 +197,15 @@ def train_step(state: TrainState, low: np.ndarray, high_real: np.ndarray) -> Ste
     dtype = params["gen.in.w"].dtype
     low, high_real = low.astype(dtype, copy=False), high_real.astype(dtype, copy=False)
     low_t = Tensor(low)
-    real_full = Tensor(np.concatenate([low, high_real], axis=2))
+    real_full = np.concatenate([low, high_real], axis=2)
     tt.reset_tape()
     fake = generator_forward(params, state.gen_cfg, low_t)
 
-    # -- discriminator update (generator frozen, fake detached)
-    fake_full = Tensor(np.concatenate([low, fake.data], axis=2))
-    real_logits, _ = all_discriminators_forward(discriminator_weights(params, sn, update=True),
-                                                disc_cfg, real_full)
-    fake_logits, _ = all_discriminators_forward(discriminator_weights(params, sn, update=False),
-                                                disc_cfg, fake_full)
-    d_loss = hinge_d_loss(real_logits, fake_logits)
+    # -- discriminator update: real and detached fake as one batch
+    both = Tensor(np.concatenate([real_full, np.concatenate([low, fake.data], axis=2)]))
+    d_logits, _ = all_discriminators_forward(discriminator_weights(params, sn, update=True),
+                                             disc_cfg, both)
+    d_loss = hinge_d_loss(d_logits)
     tt.backward(d_loss)
     adam_step(params, discriminator_parameter_names(params), state.adam_d,
               cfg.lr_d, cfg.beta1, cfg.beta2, cfg.eps)
@@ -213,13 +214,12 @@ def train_step(state: TrainState, low: np.ndarray, high_real: np.ndarray) -> Ste
     with tt.no_grad():
         frozen = {name: Tensor(w.data)
                   for name, w in discriminator_weights(params, sn, update=False).items()}
-        _, real_feats = all_discriminators_forward(frozen, disc_cfg, real_full)
+        _, real_feats = all_discriminators_forward(frozen, disc_cfg, Tensor(real_full))
     fake_logits, fake_feats = all_discriminators_forward(frozen, disc_cfg,
                                                          tt.concat([low_t, fake], axis=2))
     g_adv = hinge_g_loss(fake_logits)
     g_fm = feature_matching_loss(real_feats, fake_feats)
-    g_loss = tt.add(g_adv, tt.mul(g_fm, cfg.fm_weight)) if cfg.fm_weight else g_adv
-    tt.backward(g_loss)
+    tt.backward(tt.add(g_adv, tt.mul(g_fm, cfg.fm_weight)))
     adam_step(params, generator_parameter_names(params), state.adam_g,
               cfg.lr_g, cfg.beta1, cfg.beta2, cfg.eps)
 

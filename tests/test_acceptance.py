@@ -231,10 +231,10 @@ def _composed_loss_check(seed, dtype, rel_tol, which):
 
         def build_loss(ps):
             dt = ps["gen.in.w"].dtype
-            weights = discriminator_weights(ps, sn, update=False)
-            rl, _f = all_discriminators_forward(weights, disc, Tensor(real_full, dtype=dt))
-            fl, _f = all_discriminators_forward(weights, disc, Tensor(fake_full, dtype=dt))
-            return hinge_d_loss(rl, fl)
+            both = Tensor(np.concatenate([real_full, fake_full]), dtype=dt)
+            logits, _f = all_discriminators_forward(discriminator_weights(ps, sn, update=False),
+                                                    disc, both)
+            return hinge_d_loss(logits)
     else:
         # the real-side features are constants of the generator objective,
         # so they are computed once and closed over
@@ -379,8 +379,7 @@ def test_06_spectral_norm_bounded_through_training(small_examples):
 
 
 def test_07_gan_structure():
-    margins = hinge_d_loss([Tensor(np.array([1.0, 1.0]))],
-                           [Tensor(np.array([-1.0, -1.0]))])
+    margins = hinge_d_loss([Tensor(np.array([1.0, 1.0, -1.0, -1.0]))])
     assert margins.item() == 0.0
 
     gen, disc, params, sn = _micro_model(3)

@@ -1,3 +1,4 @@
+import copy
 import struct
 
 import numpy as np
@@ -24,16 +25,28 @@ def _logits(values):
 
 class TestHingeLosses:
     def test_d_zero_at_margins(self):
-        loss = hinge_d_loss(_logits([[1.0, 1.0]]), _logits([[-1.0, -1.0]]))
+        loss = hinge_d_loss(_logits([[1.0, 1.0, -1.0, -1.0]]))
         assert loss.item() == 0.0
 
     def test_d_two_at_zero_logits(self):
-        loss = hinge_d_loss(_logits([[0.0], [0.0]]), _logits([[0.0], [0.0]]))
+        loss = hinge_d_loss(_logits([[0.0, 0.0], [0.0, 0.0]]))
         assert loss.item() == pytest.approx(2.0)
 
     def test_d_saturates(self):
-        loss = hinge_d_loss(_logits([[2.0]]), _logits([[-3.0]]))
+        loss = hinge_d_loss(_logits([[2.0, -3.0]]))
         assert loss.item() == 0.0
+
+    def test_d_halves_are_real_then_fake(self):
+        # real rows [0.5, 0.5] cost 0.5 each, fake rows [-2, 0] cost 0 and 1
+        x = _logits([[[0.5], [0.5], [-2.0], [0.0]]])
+        loss = hinge_d_loss(x)
+        assert loss.item() == pytest.approx(0.5 + 0.5)
+        tt.backward(loss)
+        np.testing.assert_allclose(x[0].grad.reshape(-1), [-0.5, -0.5, 0.0, 0.5])
+
+    def test_d_odd_rows_rejected(self):
+        with pytest.raises(ShapeError, match="3 rows"):
+            hinge_d_loss(_logits([np.zeros((3, 2))]))
 
     def test_g_zero_logits(self):
         assert hinge_g_loss(_logits([[0.0, 0.0]])).item() == 0.0
@@ -54,7 +67,7 @@ class TestHingeLosses:
         with pytest.raises(ShapeError):
             hinge_g_loss([])
         with pytest.raises(ShapeError):
-            hinge_d_loss([], [])
+            hinge_d_loss([])
 
 
 class TestFeatureMatching:
@@ -178,7 +191,7 @@ class TestTrainStep:
         state = TrainState.fresh(cfg.generator, cfg.discriminator, cfg.train)
         low, high = sample_batch(small_examples, state.rng, cfg.train.batch_size,
                                  cfg.train.batch_frames)
-        calls = {"gen": 0, "sn": 0}
+        calls = {"gen": 0, "sn": 0, "disc": 0}
 
         def counting(key, fn):
             def wrapper(*args, **kwargs):
@@ -190,17 +203,20 @@ class TestTrainStep:
                             counting("gen", training.generator_forward))
         monkeypatch.setattr(model, "spectral_normalize",
                             counting("sn", model.spectral_normalize))
+        monkeypatch.setattr(model, "discriminator_forward",
+                            counting("disc", model.discriminator_forward))
         train_step(state, low, high)
-        # 30 weights: real and fake D passes, then one G-phase normalization
-        assert calls == {"gen": 1, "sn": 90}
+        # 30 weights normalized once per phase; 5 discriminators run once on
+        # the D phase's real-and-fake batch, then on real and on fake
+        assert calls == {"gen": 1, "sn": 60, "disc": 15}
         assert all(state.params[n].grad is None
                    for n in discriminator_parameter_names(state.params))
 
 
 def _reference_step(state, low, high_real):
-    """The training step as it was first written, kept as an oracle: the
+    """The training step written out plainly, kept as an oracle: the
     generator runs once per phase, the discriminator weights are normalized
-    for each of the four passes, and each phase clears the whole tape and
+    for each of the three passes, and each phase clears the whole tape and
     every gradient."""
     cfg, params, sn, disc = state.train_cfg, state.params, state.sn, state.disc_cfg
     real_full = np.concatenate([low, high_real], axis=2)
@@ -214,11 +230,9 @@ def _reference_step(state, low, high_real):
         fake = generator_forward(params, state.gen_cfg, Tensor(low)).data
     fake_full = np.concatenate([low, fake], axis=2)
     clear()
-    real_logits, _ = all_discriminators_forward(discriminator_weights(params, sn, update=True),
-                                                disc, Tensor(real_full))
-    fake_logits, _ = all_discriminators_forward(discriminator_weights(params, sn, update=False),
-                                                disc, Tensor(fake_full))
-    d_loss = hinge_d_loss(real_logits, fake_logits)
+    d_logits, _ = all_discriminators_forward(discriminator_weights(params, sn, update=True),
+                                             disc, Tensor(np.concatenate([real_full, fake_full])))
+    d_loss = hinge_d_loss(d_logits)
     tt.backward(d_loss)
     adam_step(params, discriminator_parameter_names(params), state.adam_d,
               cfg.lr_d, cfg.beta1, cfg.beta2, cfg.eps)
@@ -262,6 +276,33 @@ def test_step_matches_reference_bit_for_bit(small_examples):
         for name in a.m:
             np.testing.assert_array_equal(a.m[name], b.m[name])
             np.testing.assert_array_equal(a.v[name], b.v[name])
+
+
+def test_d_loss_equals_two_pass_hinge_through_shared_weights(small_examples):
+    cfg = TrainConfig(batch_size=2, batch_frames=16, seed=0)
+    for seed in range(3):
+        state = TrainState.fresh(tiny_gen_cfg(), tiny_disc_cfg(), cfg)
+        low, high = sample_batch(small_examples, np.random.default_rng(seed), 2, 16)
+        with tt.no_grad():
+            fake = generator_forward(state.params, state.gen_cfg, Tensor(low)).data
+            weights = discriminator_weights(state.params, copy.deepcopy(state.sn), update=True)
+            real_logits, _ = all_discriminators_forward(
+                weights, state.disc_cfg, Tensor(np.concatenate([low, high], axis=2)))
+            fake_logits, _ = all_discriminators_forward(
+                weights, state.disc_cfg, Tensor(np.concatenate([low, fake], axis=2)))
+        two_pass = np.mean([np.mean(np.maximum(0.0, 1.0 - r.data))
+                            + np.mean(np.maximum(0.0, 1.0 + f.data))
+                            for r, f in zip(real_logits, fake_logits)])
+        report = train_step(state, low, high)
+        assert report.d_loss == pytest.approx(two_pass, rel=1e-6)
+
+
+def test_zero_fm_weight_leaves_tape_empty(small_examples):
+    cfg = TrainConfig(batch_size=1, batch_frames=16, seed=0, fm_weight=0.0)
+    state = TrainState.fresh(tiny_gen_cfg(), tiny_disc_cfg(), cfg)
+    low, high = sample_batch(small_examples, np.random.default_rng(0), 1, 16)
+    train_step(state, low, high)
+    assert not tt.active_tape().nodes
 
 
 class TestPrecision:
