@@ -29,6 +29,11 @@ class DataConfig:
     heldout_fraction: float = 0.15
     heldout_tag: str = ""
 
+    def __post_init__(self):
+        if not 0.0 < self.heldout_fraction < 1.0:
+            raise ConfigError(f"DataConfig: heldout_fraction must lie in (0, 1), "
+                              f"got {self.heldout_fraction}")
+
 
 @dataclass
 class RunConfig:

@@ -229,6 +229,9 @@ def synth_corpus(seed: int, n_files: int, duration_s: float, out_dir,
     """Write a deterministic synthetic corpus of WAV files plus a manifest."""
     if n_files < 2:
         raise DataError(f"synth_corpus: need at least 2 files (train + heldout), got {n_files}")
+    if not (np.isfinite(duration_s) and round(duration_s * sample_rate) > 0):
+        raise DataError(f"synth_corpus: duration must be finite and give at least one sample "
+                        f"at {sample_rate} Hz, got {duration_s} s")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(seed)

@@ -2,7 +2,9 @@
 
 Per step: one discriminator update (hinge loss on real vs detached fake),
 then one generator update (hinge adversarial term plus weighted feature
-matching), both with Adam at the published learning rates and betas.
+matching), both with Adam at the published learning rates and beta1 = 0.
+At beta1 = 0 Adam's first moment is the gradient itself, so only the
+second moments are kept, and the step count is the training step's.
 """
 
 from __future__ import annotations
@@ -26,13 +28,16 @@ from .model import (DiscriminatorConfig, GeneratorConfig, SpectralNormState,
 from .tensor import Tensor
 
 
+# Adam (Kingma & Ba 2015) at beta1 = 0, as GAN training since BigGAN (Brock
+# et al. 2019) runs it
+BETA2 = 0.999
+EPS = 1e-8
+
+
 @dataclass
 class TrainConfig:
     lr_g: float = 1e-4
     lr_d: float = 4e-4
-    beta1: float = 0.0
-    beta2: float = 0.999
-    eps: float = 1e-8
     fm_weight: float = 10.0
     batch_frames: int = 128
     batch_size: int = 8
@@ -41,30 +46,19 @@ class TrainConfig:
     checkpoint_interval: int = 500
 
     def __post_init__(self):
-        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
-            raise ConfigError(f"TrainConfig: betas ({self.beta1}, {self.beta2}) must lie in [0, 1)")
-        require_positive("TrainConfig", lr_g=self.lr_g, lr_d=self.lr_d, eps=self.eps,
+        require_positive("TrainConfig", lr_g=self.lr_g, lr_d=self.lr_d,
                          batch_frames=self.batch_frames, batch_size=self.batch_size)
         if not (math.isfinite(self.fm_weight) and self.fm_weight >= 0):
             raise ConfigError(f"TrainConfig: fm_weight must be finite and >= 0, "
                               f"got {self.fm_weight}")
 
 
-class AdamState:
-    """First/second moment buffers plus the shared step counter."""
-
-    def __init__(self):
-        self.m: dict[str, np.ndarray] = {}
-        self.v: dict[str, np.ndarray] = {}
-        self.t: int = 0
-
-
-def adam_step(params: dict[str, Tensor], names, state: AdamState,
-              lr: float, beta1: float, beta2: float, eps: float) -> None:
-    """Bias-corrected Adam update over ``names`` that clears each gradient it
-    applies; with beta1=0 the first moment equals the current gradient exactly."""
-    state.t += 1
-    t = state.t
+def adam_step(params: dict[str, Tensor], names, v: dict[str, np.ndarray],
+              lr: float, t: int) -> None:
+    """Bias-corrected Adam update number ``t`` (from 1) over ``names`` that
+    clears each gradient it applies. At beta1 = 0 the first moment is the
+    gradient, so each parameter moves by lr * g / (sqrt(v_hat) + eps); ``v``
+    holds the second moments."""
     for name in names:
         p = params[name]
         g = p.grad
@@ -72,19 +66,13 @@ def adam_step(params: dict[str, Tensor], names, state: AdamState,
             continue
         if not np.all(np.isfinite(g)):
             raise NumericError(f"adam_step: non-finite gradient for parameter {name!r}")
-        m = state.m.get(name)
-        if m is None:
-            m = np.zeros_like(p.data)
-            state.m[name] = m
-            state.v[name] = np.zeros_like(p.data)
-        v = state.v[name]
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * g * g
-        m_hat = m / (1.0 - beta1 ** t)
-        v_hat = v / (1.0 - beta2 ** t)
-        p.data -= (lr * m_hat / (np.sqrt(v_hat) + eps)).astype(p.dtype)
+        moment = v.get(name)
+        if moment is None:
+            moment = v[name] = np.zeros_like(p.data)
+        moment *= BETA2
+        moment += (1.0 - BETA2) * g * g
+        v_hat = moment / (1.0 - BETA2 ** t)
+        p.data -= (lr * g / (np.sqrt(v_hat) + EPS)).astype(p.dtype)
         p.grad = None
 
 
@@ -147,8 +135,9 @@ def feature_matching_loss(real_feats, fake_feats) -> Tensor:
 class TrainState:
     params: dict[str, Tensor]
     sn: SpectralNormState
-    adam_g: AdamState
-    adam_d: AdamState
+    # Adam second moments by parameter name, for the generator and the discriminators
+    adam_g: dict[str, np.ndarray]
+    adam_d: dict[str, np.ndarray]
     gen_cfg: GeneratorConfig
     disc_cfg: DiscriminatorConfig
     train_cfg: TrainConfig
@@ -158,7 +147,7 @@ class TrainState:
     @classmethod
     def fresh(cls, gen_cfg, disc_cfg, train_cfg) -> "TrainState":
         params, sn = init_parameters(gen_cfg, disc_cfg, train_cfg.seed)
-        return cls(params=params, sn=sn, adam_g=AdamState(), adam_d=AdamState(),
+        return cls(params=params, sn=sn, adam_g={}, adam_d={},
                    gen_cfg=gen_cfg, disc_cfg=disc_cfg, train_cfg=train_cfg,
                    rng=np.random.default_rng(train_cfg.seed))
 
@@ -207,8 +196,8 @@ def train_step(state: TrainState, low: np.ndarray, high_real: np.ndarray) -> Ste
                                              disc_cfg, both)
     d_loss = hinge_d_loss(d_logits)
     tt.backward(d_loss)
-    adam_step(params, discriminator_parameter_names(params), state.adam_d,
-              cfg.lr_d, cfg.beta1, cfg.beta2, cfg.eps)
+    adam_step(params, discriminator_parameter_names(params), state.adam_d, cfg.lr_d,
+              state.step + 1)
 
     # -- generator update against the freshly updated discriminators
     with tt.no_grad():
@@ -220,8 +209,8 @@ def train_step(state: TrainState, low: np.ndarray, high_real: np.ndarray) -> Ste
     g_adv = hinge_g_loss(fake_logits)
     g_fm = feature_matching_loss(real_feats, fake_feats)
     tt.backward(tt.add(g_adv, tt.mul(g_fm, cfg.fm_weight)))
-    adam_step(params, generator_parameter_names(params), state.adam_g,
-              cfg.lr_g, cfg.beta1, cfg.beta2, cfg.eps)
+    adam_step(params, generator_parameter_names(params), state.adam_g, cfg.lr_g,
+              state.step + 1)
 
     state.step += 1
     report = StepReport(step=state.step, d_loss=d_loss.item(), g_adv=g_adv.item(),
@@ -292,12 +281,9 @@ def save_checkpoint(path, state: TrainState) -> None:
         tensors[f"param/{name}"] = p.data
     for name, u in state.sn.u.items():
         tensors[f"sn.u/{name}"] = u
-    for tag, adam in (("adam_g", state.adam_g), ("adam_d", state.adam_d)):
-        for name, m in adam.m.items():
-            tensors[f"{tag}.m/{name}"] = m
-        for name, v in adam.v.items():
+    for tag, moments in (("adam_g", state.adam_g), ("adam_d", state.adam_d)):
+        for name, v in moments.items():
             tensors[f"{tag}.v/{name}"] = v
-        tensors[f"{tag}.t"] = np.array(adam.t, dtype=np.int64)
     tensors["step"] = np.array(state.step, dtype=np.int64)
     rng_state = json.dumps(state.rng.bit_generator.state).encode("utf-8")
     tensors["rng"] = np.frombuffer(rng_state, dtype=np.uint8)
@@ -308,7 +294,8 @@ def load_checkpoint(path, gen_cfg: GeneratorConfig, disc_cfg: DiscriminatorConfi
                     train_cfg: TrainConfig) -> TrainState:
     """Read a training state back. Every declared parameter and u vector must
     be stored in its declared shape; tensors the declaration does not name,
-    such as the ``attn.bk`` key biases of older checkpoints, are ignored."""
+    such as the ``attn.bk`` key biases and the Adam first moments and step
+    counters of older checkpoints, are ignored."""
     tensors = ckpt.load_tensors(path, expected_digest=_architecture_digest(gen_cfg, disc_cfg))
     shapes = parameter_shapes(gen_cfg, disc_cfg)
     params, sn = {}, SpectralNormState()
@@ -317,14 +304,12 @@ def load_checkpoint(path, gen_cfg: GeneratorConfig, disc_cfg: DiscriminatorConfi
         params[name] = Tensor(stored.astype(np.float32, copy=False), requires_grad=True)
         if is_spectrally_normalized(name):
             sn.u[name] = _stored(tensors, f"sn.u/{name}", shape[:1])
-    adam_g, adam_d = AdamState(), AdamState()
-    for tag, adam in (("adam_g", adam_g), ("adam_d", adam_d)):
-        adam.t = int(_stored(tensors, f"{tag}.t").reshape(-1)[0])
+    adam_g, adam_d = {}, {}
+    for tag, moments in (("adam_g", adam_g), ("adam_d", adam_d)):
         for name, shape in shapes.items():
-            for kind, moments in (("m", adam.m), ("v", adam.v)):
-                key = f"{tag}.{kind}/{name}"
-                if key in tensors:
-                    moments[name] = _stored(tensors, key, shape)
+            key = f"{tag}.v/{name}"
+            if key in tensors:
+                moments[name] = _stored(tensors, key, shape)
     step = int(_stored(tensors, "step").reshape(-1)[0])
     rng = np.random.default_rng(train_cfg.seed)
     rng.bit_generator.state = json.loads(bytes(_stored(tensors, "rng")).decode("utf-8"))

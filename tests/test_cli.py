@@ -37,13 +37,21 @@ def write_cfg(tmp_path, extra=""):
     return str(path)
 
 
+def run_module(*args):
+    """``python -m upband.cli *args`` in a fresh interpreter, so a traceback
+    reaches stderr instead of failing the test."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-m", "upband.cli", *args],
+                          capture_output=True, text=True, env=env, timeout=300)
+
+
 class TestConfig:
     def test_defaults(self):
         cfg = load_config(None)
         assert cfg.generator.d_model == 512
         assert cfg.discriminator.group_counts == (1, 4, 16, 64, 256)
         assert cfg.train.lr_g == 1e-4 and cfg.train.lr_d == 4e-4
-        assert cfg.train.beta1 == 0.0 and cfg.train.beta2 == 0.999
 
     def test_desk_preset(self):
         cfg = load_config(None, preset="desk")
@@ -112,6 +120,15 @@ def cli_corpus(tmp_path_factory):
     return root
 
 
+class TestCliSynth:
+    @pytest.mark.parametrize("duration", ["0", "-1", "1e-5", "nan"])
+    def test_duration_without_samples_exit_2(self, tmp_path, duration):
+        proc = run_module("synth", "--out", str(tmp_path / "c"), "--files", "2",
+                          "--duration", duration)
+        assert proc.returncode == 2, proc.stderr
+        assert "duration" in proc.stderr and "Traceback" not in proc.stderr
+
+
 class TestCliTrain:
     def test_smoke_and_log_lines(self, cli_corpus, tmp_path):
         run = tmp_path / "run"
@@ -149,21 +166,21 @@ class TestCliTrain:
         ("train", "[train]\nbatch_size = 0"),
         ("train", "[train]\nbatch_frames = 0"),
         ("train", "[train]\nlr_g = nan"),
-        ("train", "[train]\neps = inf"),
+        ("train", "[train]\nbeta1 = 0.9"),
         ("train", "[train]\nfm_weight = nan"),
         ("evaluate", "[lsd]\nn_fft = 0"),
+        ("train", "[data]\nheldout_fraction = nan"),
+        ("evaluate", "[data]\nheldout_fraction = -0.5"),
+        ("train", "[data]\nheldout_fraction = 1.5"),
     ], ids=["n_heads", "odd_d_model", "channels", "group_count", "batch_size", "batch_frames",
-            "lr_g", "eps", "fm_weight", "lsd_n_fft"])
+            "lr_g", "removed_beta1", "fm_weight", "lsd_n_fft", "heldout_nan",
+            "heldout_negative", "heldout_above_one"])
     def test_bad_config_value_exit_1(self, cli_corpus, tmp_path, command, text):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(text + "\n")
         args = ["--max-steps", "2"] if command == "train" else ["--baseline"]
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "upband.cli", command, "--preset", "desk", "--config",
-             str(cfg), "--corpus", str(cli_corpus), "--run-dir", str(tmp_path / "run"), *args],
-            capture_output=True, text=True, env=env, timeout=300)
+        proc = run_module(command, "--preset", "desk", "--config", str(cfg), "--corpus",
+                          str(cli_corpus), "--run-dir", str(tmp_path / "run"), *args)
         assert proc.returncode == 1, proc.stderr
         assert "config error:" in proc.stderr and "Traceback" not in proc.stderr
 

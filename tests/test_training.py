@@ -11,7 +11,7 @@ from upband.model import (all_discriminators_forward, discriminator_forward,
                           discriminator_parameter_names, discriminator_weights,
                           generator_forward, generator_parameter_names, init_parameters)
 from upband.tensor import Tensor
-from upband.training import (AdamState, TrainConfig, TrainState, adam_step,
+from upband.training import (TrainConfig, TrainState, adam_step,
                              feature_matching_loss, hinge_d_loss, hinge_g_loss,
                              load_checkpoint, sample_batch, save_checkpoint,
                              train_loop, train_step)
@@ -103,37 +103,85 @@ class TestFeatureMatching:
             feature_matching_loss([[np.zeros(3)]], [[Tensor(np.zeros(3)), Tensor(np.zeros(3))]])
 
 
+class ParentAdam:
+    """Adam written out in full, kept as an oracle: first- and second-moment
+    buffers, beta1 = 0, beta2 = 0.999, eps = 1e-8, and a step counter of its
+    own."""
+
+    beta1, beta2, eps = 0.0, 0.999, 1e-8
+
+    def __init__(self):
+        self.m, self.v, self.t = {}, {}, 0
+
+    def step(self, params, names, lr):
+        self.t += 1
+        for name in names:
+            p = params[name]
+            g = p.grad
+            if g is None:
+                continue
+            if name not in self.m:
+                self.m[name] = np.zeros_like(p.data)
+                self.v[name] = np.zeros_like(p.data)
+            m, v = self.m[name], self.v[name]
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * g * g
+            m_hat = m / (1.0 - self.beta1 ** self.t)
+            v_hat = v / (1.0 - self.beta2 ** self.t)
+            p.data -= (lr * m_hat / (np.sqrt(v_hat) + self.eps)).astype(p.dtype)
+            p.grad = None
+
+
 class TestAdam:
     def test_first_step_hand_value(self):
         p = {"w": Tensor(np.array([0.0]), requires_grad=True)}
         p["w"].grad = np.array([1.0], dtype=np.float32)
-        state = AdamState()
-        adam_step(p, ["w"], state, lr=0.1, beta1=0.0, beta2=0.999, eps=1e-8)
+        adam_step(p, ["w"], {}, lr=0.1, t=1)
         assert p["w"].data[0] == pytest.approx(-0.1, rel=1e-6)
 
     def test_zero_gradient_no_move(self):
         p = {"w": Tensor(np.array([1.5]), requires_grad=True)}
         p["w"].grad = np.zeros(1, dtype=np.float32)
-        adam_step(p, ["w"], AdamState(), lr=0.1, beta1=0.0, beta2=0.999, eps=1e-8)
+        adam_step(p, ["w"], {}, lr=0.1, t=1)
         assert p["w"].data[0] == 1.5
 
     def test_constant_gradient_equal_steps(self):
         p = {"w": Tensor(np.array([0.0], dtype=np.float64), requires_grad=True,
                          dtype=np.float64)}
-        state = AdamState()
+        v = {}
         deltas = []
-        for _ in range(2):
+        for t in (1, 2):
             before = p["w"].data.copy()
             p["w"].grad = np.array([0.7])
-            adam_step(p, ["w"], state, lr=0.1, beta1=0.0, beta2=0.999, eps=1e-8)
+            adam_step(p, ["w"], v, lr=0.1, t=t)
             deltas.append(float((before - p["w"].data)[0]))
         assert deltas[0] == pytest.approx(deltas[1], abs=1e-6)
+
+    def test_matches_full_adam_bit_for_bit(self):
+        rng = np.random.default_rng(0)
+        names = ["a", "b"]
+        init = rng.normal(size=(2, 64)).astype(np.float32)
+        ours, ref = ({n: Tensor(w.copy(), requires_grad=True) for n, w in zip(names, init)}
+                     for _ in range(2))
+        v, parent = {}, ParentAdam()
+        for t in range(1, 6):
+            for name in names:
+                g = rng.normal(scale=10.0 ** -t, size=64).astype(np.float32)
+                ours[name].grad, ref[name].grad = g, g.copy()
+            adam_step(ours, names, v, lr=1e-3, t=t)
+            parent.step(ref, names, lr=1e-3)
+            for name in names:
+                assert ours[name].grad is None
+                np.testing.assert_array_equal(ours[name].data, ref[name].data)
+                np.testing.assert_array_equal(v[name], parent.v[name])
 
     def test_non_finite_gradient_names_parameter(self):
         p = {"bad.w": Tensor(np.array([0.0]), requires_grad=True)}
         p["bad.w"].grad = np.array([np.nan], dtype=np.float32)
         with pytest.raises(NumericError, match="bad.w"):
-            adam_step(p, ["bad.w"], AdamState(), 0.1, 0.0, 0.999, 1e-8)
+            adam_step(p, ["bad.w"], {}, 0.1, 1)
 
 
 class TestTrainStep:
@@ -213,11 +261,11 @@ class TestTrainStep:
                    for n in discriminator_parameter_names(state.params))
 
 
-def _reference_step(state, low, high_real):
+def _reference_step(state, adam, low, high_real):
     """The training step written out plainly, kept as an oracle: the
     generator runs once per phase, the discriminator weights are normalized
-    for each of the three passes, and each phase clears the whole tape and
-    every gradient."""
+    for each of the three passes, each phase clears the whole tape and every
+    gradient, and ``adam`` maps "g" and "d" to the full Adam of ParentAdam."""
     cfg, params, sn, disc = state.train_cfg, state.params, state.sn, state.disc_cfg
     real_full = np.concatenate([low, high_real], axis=2)
 
@@ -234,8 +282,7 @@ def _reference_step(state, low, high_real):
                                              disc, Tensor(np.concatenate([real_full, fake_full])))
     d_loss = hinge_d_loss(d_logits)
     tt.backward(d_loss)
-    adam_step(params, discriminator_parameter_names(params), state.adam_d,
-              cfg.lr_d, cfg.beta1, cfg.beta2, cfg.eps)
+    adam["d"].step(params, discriminator_parameter_names(params), cfg.lr_d)
     clear()
 
     fake_t = generator_forward(params, state.gen_cfg, Tensor(low))
@@ -248,34 +295,40 @@ def _reference_step(state, low, high_real):
     g_adv = hinge_g_loss(logits)
     g_fm = feature_matching_loss(real_feats, fake_feats)
     tt.backward(tt.add(g_adv, tt.mul(g_fm, cfg.fm_weight)))
-    adam_step(params, generator_parameter_names(params), state.adam_g,
-              cfg.lr_g, cfg.beta1, cfg.beta2, cfg.eps)
+    adam["g"].step(params, generator_parameter_names(params), cfg.lr_g)
     clear()
     state.step += 1
     return d_loss.item(), g_adv.item(), g_fm.item()
 
 
+def _assert_matches_reference(state, ref, adam):
+    """Every parameter, u vector and second moment of ``state`` equals the
+    reference's, and the reference's counters equal the step count."""
+    assert state.step == ref.step == adam["g"].t == adam["d"].t
+    assert state.params.keys() == ref.params.keys()
+    for name in state.params:
+        np.testing.assert_array_equal(state.params[name].data, ref.params[name].data)
+    assert state.sn.u.keys() == ref.sn.u.keys()
+    for name in state.sn.u:
+        np.testing.assert_array_equal(state.sn.u[name], ref.sn.u[name])
+    for tag in ("g", "d"):
+        ours, parent = getattr(state, f"adam_{tag}"), adam[tag]
+        assert ours.keys() == parent.v.keys()
+        for name in ours:
+            np.testing.assert_array_equal(ours[name], parent.v[name])
+
+
 def test_step_matches_reference_bit_for_bit(small_examples):
     cfg = TrainConfig(batch_size=2, batch_frames=16, seed=0)
-    states = [TrainState.fresh(tiny_gen_cfg(), tiny_disc_cfg(), cfg) for _ in range(2)]
+    state, ref = (TrainState.fresh(tiny_gen_cfg(), tiny_disc_cfg(), cfg) for _ in range(2))
+    adam = {"g": ParentAdam(), "d": ParentAdam()}
     rng = np.random.default_rng(11)
     for _ in range(3):
         low, high = sample_batch(small_examples, rng, 2, 16)
-        report = train_step(states[0], low, high)
-        assert (report.d_loss, report.g_adv, report.g_fm) == _reference_step(states[1], low, high)
-    step, ref = states
-    assert step.step == ref.step == 3
-    for name in step.params:
-        np.testing.assert_array_equal(step.params[name].data, ref.params[name].data)
-    assert step.sn.u.keys() == ref.sn.u.keys()
-    for name in step.sn.u:
-        np.testing.assert_array_equal(step.sn.u[name], ref.sn.u[name])
-    for tag in ("adam_g", "adam_d"):
-        a, b = getattr(step, tag), getattr(ref, tag)
-        assert a.t == b.t and a.m.keys() == b.m.keys() == a.v.keys()
-        for name in a.m:
-            np.testing.assert_array_equal(a.m[name], b.m[name])
-            np.testing.assert_array_equal(a.v[name], b.v[name])
+        report = train_step(state, low, high)
+        assert (report.d_loss, report.g_adv, report.g_fm) == _reference_step(ref, adam, low, high)
+    assert state.step == 3
+    _assert_matches_reference(state, ref, adam)
 
 
 def test_d_loss_equals_two_pass_hinge_through_shared_weights(small_examples):
@@ -361,10 +414,9 @@ class TestCheckpoint:
             np.testing.assert_array_equal(loaded.sn.u[name], state.sn.u[name])
         for tag in ("adam_g", "adam_d"):
             a, b = getattr(state, tag), getattr(loaded, tag)
-            assert a.t == b.t
-            for name in a.m:
-                np.testing.assert_array_equal(a.m[name], b.m[name])
-                np.testing.assert_array_equal(a.v[name], b.v[name])
+            assert a and a.keys() == b.keys()
+            for name in a:
+                np.testing.assert_array_equal(a[name], b[name])
         assert loaded.rng.bit_generator.state == state.rng.bit_generator.state
 
     def test_architecture_mismatch_rejected(self, small_examples, tmp_path):
@@ -414,18 +466,52 @@ class TestCheckpoint:
         assert list(loaded.params) == list(state.params)
         for name in state.params:
             np.testing.assert_array_equal(loaded.params[name].data, state.params[name].data)
-        assert list(loaded.adam_g.m) == list(state.adam_g.m)
+        assert list(loaded.adam_g) == list(state.adam_g)
+
+    def test_first_moments_of_older_checkpoints_ignored(self, small_examples, tmp_path):
+        # older writers stored each network's Adam first moments and step
+        # counter; a state they wrote resumes exactly as their own Adam would
+        cfg = TrainConfig(batch_size=1, batch_frames=16, seed=0)
+        ref = TrainState.fresh(tiny_gen_cfg(), tiny_disc_cfg(), cfg)
+        adam = {"g": ParentAdam(), "d": ParentAdam()}
+        batches = [sample_batch(small_examples, ref.rng, 1, 16) for _ in range(3)]
+        for low, high in batches[:2]:
+            _reference_step(ref, adam, low, high)
+        path = tmp_path / "ck.nug"
+        save_checkpoint(path, ref)
+
+        def parent_layout(tensors):
+            for tag, parent in adam.items():
+                for kind in ("m", "v"):
+                    for name, arr in getattr(parent, kind).items():
+                        tensors[f"adam_{tag}.{kind}/{name}"] = arr
+                tensors[f"adam_{tag}.t"] = np.array(parent.t, dtype=np.int64)
+
+        self._rewrite(path, parent_layout)
+        state = load_checkpoint(path, ref.gen_cfg, ref.disc_cfg, ref.train_cfg)
+        _assert_matches_reference(state, ref, adam)
+        low, high = batches[2]
+        report = train_step(state, low, high)
+        assert (report.d_loss, report.g_adv, report.g_fm) == _reference_step(ref, adam, low, high)
+        _assert_matches_reference(state, ref, adam)
+
+    def test_no_first_moments_or_counters_written(self, small_examples, tmp_path):
+        state = self._trained_state(small_examples, steps=1)
+        path = tmp_path / "ck.nug"
+        save_checkpoint(path, state)
+        kinds = {key.split("/")[0] for key in checkpoint.load_tensors(path)}
+        assert kinds == {"param", "sn.u", "adam_g.v", "adam_d.v", "step", "rng"}
 
     def test_rank_one_scalars_of_older_checkpoints_load(self, small_examples, tmp_path):
         # older writers stored the step and Adam counters with shape (1,)
         state = self._trained_state(small_examples)
         path = tmp_path / "ck.nug"
         save_checkpoint(path, state)
-        self._rewrite(path, lambda t: t.update(
-            {k: t[k].reshape(1) for k in ("step", "adam_g.t", "adam_d.t")}))
+        self._rewrite(path, lambda t: t.update({"step": t["step"].reshape(1),
+                                                "adam_g.t": np.array([2], dtype=np.int64),
+                                                "adam_d.t": np.array([2], dtype=np.int64)}))
         loaded = load_checkpoint(path, state.gen_cfg, state.disc_cfg, state.train_cfg)
         assert loaded.step == state.step == 2
-        assert loaded.adam_g.t == state.adam_g.t and loaded.adam_d.t == state.adam_d.t
 
     @staticmethod
     def _rewrite(path, edit):
@@ -444,7 +530,7 @@ class TestCheckpoint:
             load_checkpoint(path, state.gen_cfg, state.disc_cfg, state.train_cfg)
 
     @pytest.mark.parametrize("key", ["param/gen.out.b", "sn.u/disc0.proj.w",
-                                     "adam_g.m/gen.out.b"])
+                                     "adam_g.v/gen.out.b"])
     def test_wrong_shape_rejected(self, small_examples, tmp_path, key):
         state = self._trained_state(small_examples, steps=1)
         path = tmp_path / "ck.nug"
