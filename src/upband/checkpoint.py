@@ -84,7 +84,10 @@ def load_tensors(path, expected_digest: bytes | None = None) -> dict[str, np.nda
         while f.tell() < size:
             record = f"record at offset {f.tell()}"
             (nlen,) = struct.unpack("<I", f.read(fits(4, record)))
-            name = f.read(fits(nlen, record)).decode("utf-8")
+            try:
+                name = f.read(fits(nlen, record)).decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise CheckpointError(f"checkpoint: {record}: name is not UTF-8") from exc
             (rank,) = struct.unpack("<I", f.read(fits(4, record)))
             dims = struct.unpack(f"<{rank}Q", f.read(fits(8 * rank, record)))
             (tag,) = f.read(fits(1, record))

@@ -128,14 +128,17 @@ def make_pair(high: AudioBuffer, source: str = "") -> TrainingExample:
     Conditioning bins come from decimate -> interpolate (what the model
     will see at inference time), targets from the ground truth's own STFT.
     """
+    if high.sample_rate != dsp.SAMPLE_RATE:
+        raise DataError(f"make_pair: {source or 'input'} is at {high.sample_rate} Hz, "
+                        f"need {dsp.SAMPLE_RATE} Hz")
     if len(high) < dsp.N_FFT:
         raise DataError(f"make_pair: need at least {dsp.N_FFT} samples, got {len(high)}")
     n_even = len(high) - (len(high) % 2)
     truth = AudioBuffer(high.samples[:n_even], high.sample_rate)
     interp = dsp.sinc_upsample(dsp.downsample(truth, 2), 2)
 
-    low = dsp.to_log_magnitude(np.abs(dsp.stft(interp).data))[:, :LOW_BINS]
-    high_bins = dsp.to_log_magnitude(np.abs(dsp.stft(truth).data))[:, LOW_BINS:]
+    low = dsp.to_log_magnitude(np.abs(dsp.stft(interp)))[:, :LOW_BINS]
+    high_bins = dsp.to_log_magnitude(np.abs(dsp.stft(truth)))[:, LOW_BINS:]
 
     if not (np.all(np.isfinite(low)) and np.all(np.isfinite(high_bins))):
         raise DataError(f"make_pair: non-finite spectrogram values from {source or 'input'}")
@@ -151,7 +154,6 @@ def make_pair(high: AudioBuffer, source: str = "") -> TrainingExample:
 class Corpus:
     root: Path
     items: list[str]               # relative paths
-    sample_rate: int = 44100
 
     def paths(self) -> list[Path]:
         return [self.root / item for item in self.items]
@@ -191,23 +193,21 @@ def split_corpus(corpus: Corpus, heldout_fraction: float | None = None,
     if not held or not train:
         raise DataError(f"split_corpus: split leaves an empty side "
                         f"(train {len(train)}, heldout {len(held)})")
-    return (Corpus(corpus.root, train, corpus.sample_rate),
-            Corpus(corpus.root, held, corpus.sample_rate))
+    return Corpus(corpus.root, train), Corpus(corpus.root, held)
 
 
 # ---------------------------------------------------------------------------
 # synthetic corpus
 
 
-def synth_signal(rng: np.random.Generator, duration_s: float,
-                 sample_rate: int = 44100) -> AudioBuffer:
+def synth_signal(rng: np.random.Generator, duration_s: float) -> AudioBuffer:
     """Harmonic stack with partials up to 20 kHz plus low-level noise.
 
     The partial amplitude rolloff exponent is a function of the
     fundamental, so the upper band is predictable from the lower band.
     """
-    n = int(round(duration_s * sample_rate))
-    t = np.arange(n) / sample_rate
+    n = int(round(duration_s * dsp.SAMPLE_RATE))
+    t = np.arange(n) / dsp.SAMPLE_RATE
     f0 = float(rng.uniform(200.0, 400.0))
     rolloff = 0.2 + 0.2 * (f0 - 200.0) / 200.0
     n_partials = int(20000.0 // f0)
@@ -221,26 +221,27 @@ def synth_signal(rng: np.random.Generator, duration_s: float,
     x *= env
     x += 1e-4 * rng.standard_normal(n)
     x *= 0.5 / np.max(np.abs(x))
-    return AudioBuffer(x, sample_rate)
+    return AudioBuffer(x, dsp.SAMPLE_RATE)
 
 
-def synth_corpus(seed: int, n_files: int, duration_s: float, out_dir,
-                 sample_rate: int = 44100) -> Corpus:
+def synth_corpus(seed: int, n_files: int, duration_s: float, out_dir) -> Corpus:
     """Write a deterministic synthetic corpus of WAV files plus a manifest."""
     if n_files < 2:
         raise DataError(f"synth_corpus: need at least 2 files (train + heldout), got {n_files}")
-    if not (np.isfinite(duration_s) and round(duration_s * sample_rate) > 0):
+    if not (np.isfinite(duration_s) and round(duration_s * dsp.SAMPLE_RATE) > 0):
         raise DataError(f"synth_corpus: duration must be finite and give at least one sample "
-                        f"at {sample_rate} Hz, got {duration_s} s")
+                        f"at {dsp.SAMPLE_RATE} Hz, got {duration_s} s")
+    if seed < 0:
+        raise DataError(f"synth_corpus: seed must be >= 0, got {seed}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(seed)
     items = []
     for i in range(n_files):
         name = f"synth_{i:04d}.wav"
-        write_wav(out_dir / name, synth_signal(rng, duration_s, sample_rate))
+        write_wav(out_dir / name, synth_signal(rng, duration_s))
         items.append(name)
-    corpus = Corpus(root=out_dir, items=items, sample_rate=sample_rate)
+    corpus = Corpus(root=out_dir, items=items)
     save_manifest(corpus, out_dir / "manifest.txt")
     return corpus
 

@@ -19,6 +19,7 @@ from .errors import DataError, ShapeError
 
 log = logging.getLogger(__name__)
 
+SAMPLE_RATE = 44100              # the full rate; the model's input runs at half of it
 N_FFT = 1024
 HOP = 256
 N_BINS = N_FFT // 2 + 1          # 513
@@ -61,18 +62,6 @@ class AudioBuffer:
     @property
     def duration(self) -> float:
         return len(self.samples) / self.sample_rate
-
-
-@dataclass
-class ComplexSpectrogram:
-    data: np.ndarray          # [T, F] complex
-    n_fft: int
-    hop: int
-    sample_rate: int
-
-    @property
-    def frames(self) -> int:
-        return self.data.shape[0]
 
 
 def _hann_periodic(n: int) -> np.ndarray:
@@ -136,8 +125,9 @@ def downsample(audio: AudioBuffer, factor: int) -> AudioBuffer:
     return AudioBuffer(y[::factor], audio.sample_rate // factor)
 
 
-def stft(audio: AudioBuffer, n_fft: int = N_FFT, hop: int = HOP) -> ComplexSpectrogram:
-    """Centered STFT with a periodic Hann window and reflect padding."""
+def stft(audio: AudioBuffer, n_fft: int = N_FFT, hop: int = HOP) -> np.ndarray:
+    """Centered STFT with a periodic Hann window and reflect padding: complex
+    [frames, n_fft // 2 + 1]."""
     x = audio.samples
     if len(x) < n_fft:
         raise DataError(f"stft: audio length {len(x)} shorter than n_fft {n_fft}")
@@ -147,13 +137,14 @@ def stft(audio: AudioBuffer, n_fft: int = N_FFT, hop: int = HOP) -> ComplexSpect
     window = _hann_periodic(n_fft)
     idx = np.arange(n_fft)[None, :] + hop * np.arange(n_frames)[:, None]
     frames = xp[idx] * window
-    return ComplexSpectrogram(np.fft.rfft(frames, axis=1), n_fft=n_fft, hop=hop,
-                              sample_rate=audio.sample_rate)
+    return np.fft.rfft(frames, axis=1)
 
 
-def istft(spec: ComplexSpectrogram) -> AudioBuffer:
-    """Least-squares overlap-add inverse of ``stft`` (window-square normalized)."""
-    n_fft, hop = spec.n_fft, spec.hop
+def istft(spec: np.ndarray, hop: int = HOP) -> np.ndarray:
+    """Least-squares overlap-add inverse of ``stft`` (window-square
+    normalized): samples from a complex [frames, bins] spectrogram whose
+    frame length is 2 * (bins - 1)."""
+    n_fft = 2 * (spec.shape[1] - 1)
     window = _hann_periodic(n_fft)
     wsq = window * window
     # constant-overlap-add condition: hop divides n_fft, and the squared
@@ -163,8 +154,8 @@ def istft(spec: ComplexSpectrogram) -> AudioBuffer:
                         "the overlap-add constant condition")
     # overlap-add in hop-long blocks: block j of frame t lands on segment
     # t + j, and adding the last block first sums every segment in frame order
-    n_frames, blocks = spec.frames, n_fft // hop
-    frames = (np.fft.irfft(spec.data, n=n_fft, axis=1) * window).reshape(n_frames, blocks, hop)
+    n_frames, blocks = spec.shape[0], n_fft // hop
+    frames = (np.fft.irfft(spec, n=n_fft, axis=1) * window).reshape(n_frames, blocks, hop)
     wsq_blocks = wsq.reshape(blocks, hop)
     y = np.zeros((n_frames + blocks - 1, hop))
     norm = np.zeros_like(y)
@@ -175,7 +166,7 @@ def istft(spec: ComplexSpectrogram) -> AudioBuffer:
     good = norm > 1e-10
     y[good] /= norm[good]
     pad = n_fft // 2
-    return AudioBuffer(y[pad:len(y) - pad], spec.sample_rate)
+    return y[pad:len(y) - pad]
 
 
 def to_log_magnitude(magnitude: np.ndarray) -> np.ndarray:
@@ -199,10 +190,9 @@ def reconstruct_full(low: np.ndarray, high: np.ndarray, phase: np.ndarray,
         raise ShapeError(f"reconstruct_full: bin split {low.shape[1]}+{high.shape[1]} must equal "
                          f"{N_BINS} and match phase bins {phase.shape[1]}")
     magnitude = np.exp(np.concatenate([low, high], axis=1))
-    audio = istft(ComplexSpectrogram(magnitude * np.exp(1j * phase), n_fft=N_FFT, hop=HOP,
-                                     sample_rate=sample_rate))
-    clipped = int(np.sum(np.abs(audio.samples) > 1.0))
+    samples = istft(magnitude * np.exp(1j * phase))
+    clipped = int(np.sum(np.abs(samples) > 1.0))
     if clipped:
         log.warning("reconstruct_full: clamped %d samples outside [-1, 1]", clipped)
-        audio = AudioBuffer(np.clip(audio.samples, -1.0, 1.0), audio.sample_rate)
-    return audio
+        samples = np.clip(samples, -1.0, 1.0)
+    return AudioBuffer(samples, sample_rate)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dsp import AudioBuffer, stft
+from .dsp import SAMPLE_RATE, AudioBuffer, stft
 from .errors import DataError, require_positive
 
 POWER_FLOOR = 1e-10
@@ -28,8 +28,7 @@ class LsdConfig:
 
 
 def _log_power(audio: AudioBuffer, cfg: LsdConfig) -> np.ndarray:
-    spec = stft(audio, n_fft=cfg.n_fft, hop=cfg.hop)
-    power = np.abs(spec.data) ** 2
+    power = np.abs(stft(audio, n_fft=cfg.n_fft, hop=cfg.hop)) ** 2
     return np.log10(np.maximum(power, POWER_FLOOR))
 
 
@@ -86,8 +85,8 @@ def evaluate_corpus(model_fn, files, read_fn, lsd_cfg: LsdConfig = LsdConfig(),
 
     ``model_fn`` maps [T, 257] log magnitudes to [T, 256]; None evaluates
     the plain interpolation baseline. ``read_fn`` loads a path into an
-    AudioBuffer. ``train_files`` is checked for overlap with the held-out
-    set before any work is done.
+    AudioBuffer, which must be at SAMPLE_RATE. ``train_files`` is checked
+    for overlap with the held-out set before any work is done.
     """
     from .pipeline import upsample_buffer
     from .dsp import downsample
@@ -102,6 +101,9 @@ def evaluate_corpus(model_fn, files, read_fn, lsd_cfg: LsdConfig = LsdConfig(),
     lsds, snrs = [], []
     for path in files:
         truth = read_fn(path)
+        if truth.sample_rate != SAMPLE_RATE:
+            raise DataError(f"evaluate_corpus: {path} is at {truth.sample_rate} Hz, "
+                            f"need {SAMPLE_RATE} Hz")
         low = downsample(truth, 2)
         approx = upsample_buffer(low, model_fn)
         lsds.append(lsd(truth, approx, lsd_cfg))

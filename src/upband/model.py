@@ -228,7 +228,7 @@ def generator_forward(params: dict[str, Tensor], cfg: GeneratorConfig, low: Tens
     scale = 1.0 / math.sqrt(dh)
 
     h = tt.linear(low, params["gen.in.w"], params["gen.in.b"])
-    h = tt.add_constant(h, sinusoidal_positions(T, d)[None])
+    h = tt.add(h, sinusoidal_positions(T, d)[None])
 
     for i in range(cfg.n_layers):
         p = f"gen.L{i}"

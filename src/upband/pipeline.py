@@ -23,7 +23,7 @@ def upsample_buffer(audio: AudioBuffer, model_fn=None) -> AudioBuffer:
     n = len(interp)
     if n < dsp.N_FFT:
         interp = AudioBuffer(np.pad(interp.samples, (0, dsp.N_FFT - n)), interp.sample_rate)
-    spec = dsp.stft(interp).data
+    spec = dsp.stft(interp)
     low = dsp.to_log_magnitude(np.abs(spec))[:, :dsp.LOW_BINS]
     high = np.asarray(model_fn(low), dtype=np.float64)
     out = dsp.reconstruct_full(low, high, np.angle(spec), interp.sample_rate)

@@ -43,7 +43,7 @@ def stft_roundtrip() -> None:
     y = dsp.istft(dsp.stft(AudioBuffer(x, 44100)))
     n = min(len(y), len(x))
     c = slice(1024, n - 1024)
-    err = np.linalg.norm(y.samples[c] - x[c]) / np.linalg.norm(x[c])
+    err = np.linalg.norm(y[c] - x[c]) / np.linalg.norm(x[c])
     if not err < 1e-4:
         raise NumericError(f"stft roundtrip: relative error {err:.2e} >= 1e-4")
 

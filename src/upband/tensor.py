@@ -7,14 +7,14 @@ path, and removes the loss's ancestors from the tape; other nodes stay for
 a later backward. Float32 is the working precision; float64 is used by the
 finite-difference checker.
 
-A Python or numpy scalar passed to ``add``/``sub``/``mul`` takes the other
-operand's dtype, so ``mul(x32, 0.5)`` stays float32 and ``mul(x64, 0.5)``
-float64 under the promotion rules of NumPy 1.x and 2.x alike.
-
-Broadcasting is deliberately restricted to scalar-vs-tensor; anything
-else must match shapes exactly. Primitives that need a broadcast
-internally (bias in ``linear``/``conv1d_grouped``, gain/shift in
-``layer_norm``) handle it themselves.
+The first operand of ``add``/``sub``/``mul`` is a tensor. The second is a
+tensor of the same shape, or a constant: a Python or numpy scalar or array,
+cast to the first operand's dtype, that must broadcast to its shape. A
+constant is not a node input and gets no gradient; ``mul(x32, 0.5)`` stays
+float32 and ``mul(x64, 0.5)`` float64 under NumPy 1.x and 2.x promotion
+alike. Primitives that need a broadcast internally (bias in
+``linear``/``conv1d_grouped``, gain/shift in ``layer_norm``) handle it
+themselves.
 """
 
 from __future__ import annotations
@@ -118,16 +118,6 @@ def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _operands(a, b) -> tuple[Tensor, Tensor]:
-    """Both operands of a binary op as tensors; a non-tensor takes the other's dtype."""
-    if not isinstance(a, Tensor):
-        b = _as_tensor(b)
-        return Tensor(a, dtype=b.dtype), b
-    if not isinstance(b, Tensor):
-        return a, Tensor(b, dtype=a.dtype)
-    return a, b
-
-
 def _result(data: np.ndarray, inputs: Sequence[Tensor], backward_fn: Callable) -> Tensor:
     requires = _tape.enabled and any(t.requires_grad for t in inputs)
     out = Tensor(data, requires_grad=requires)
@@ -136,51 +126,40 @@ def _result(data: np.ndarray, inputs: Sequence[Tensor], backward_fn: Callable) -
     return out
 
 
-def _is_scalar_shape(shape) -> bool:
-    return int(np.prod(shape)) == 1
-
-
-def _check_binary_shapes(a: Tensor, b: Tensor, op: str) -> None:
-    if a.shape == b.shape or _is_scalar_shape(a.shape) or _is_scalar_shape(b.shape):
-        return
-    raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} must match exactly (only scalar broadcast allowed)")
-
-
-def _unbroadcast(grad: np.ndarray, shape) -> np.ndarray:
-    if grad.shape == shape:
-        return grad
-    # only scalar broadcast is permitted, so collapse everything
-    return np.sum(grad).reshape(shape).astype(grad.dtype)
+def _operand(a: Tensor, b, op: str) -> tuple[np.ndarray, tuple[Tensor, ...]]:
+    """The data of ``op(a, b)``'s second operand and the node's inputs: a
+    tensor ``b`` is an input, a constant is not."""
+    if isinstance(b, Tensor):
+        if b.shape != a.shape:
+            raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} must match exactly")
+        return b.data, (a, b)
+    c = np.asarray(b, dtype=a.dtype)
+    try:
+        np.broadcast_to(c, a.shape)
+    except ValueError:
+        raise ShapeError(f"{op}: constant of shape {c.shape} does not broadcast to "
+                         f"{a.shape}") from None
+    return c, (a,)
 
 
 # ---------------------------------------------------------------------------
 # binary / unary elementwise
 
 
-def add(a, b) -> Tensor:
-    a, b = _operands(a, b)
-    _check_binary_shapes(a, b, "add")
-    return _result(a.data + b.data, (a, b),
-                   lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)))
+def add(a: Tensor, b) -> Tensor:
+    bd, inputs = _operand(a, b, "add")
+    return _result(a.data + bd, inputs, lambda g: (g,) * len(inputs))
 
 
-def sub(a, b) -> Tensor:
-    a, b = _operands(a, b)
-    _check_binary_shapes(a, b, "sub")
-    return _result(a.data - b.data, (a, b),
-                   lambda g: (_unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)))
+def sub(a: Tensor, b) -> Tensor:
+    bd, inputs = _operand(a, b, "sub")
+    return _result(a.data - bd, inputs, lambda g: (g, -g) if len(inputs) == 2 else (g,))
 
 
-def mul(a, b) -> Tensor:
-    a, b = _operands(a, b)
-    _check_binary_shapes(a, b, "mul")
-    return _result(a.data * b.data, (a, b),
-                   lambda g: (_unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)))
-
-
-def neg(a) -> Tensor:
-    a = _as_tensor(a)
-    return _result(-a.data, (a,), lambda g: (-g,))
+def mul(a: Tensor, b) -> Tensor:
+    bd, inputs = _operand(a, b, "mul")
+    return _result(a.data * bd, inputs,
+                   lambda g: (g * bd, g * a.data) if len(inputs) == 2 else (g * bd,))
 
 
 def tabs(a) -> Tensor:
@@ -264,12 +243,6 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
     splits = np.cumsum(sizes)[:-1]
     out = np.concatenate([t.data for t in tensors], axis=axis)
     return _result(out, tensors, lambda g: tuple(np.split(g, splits, axis=axis)))
-
-
-def add_constant(a, const: np.ndarray) -> Tensor:
-    """Add a non-learned array (numpy-broadcastable), e.g. positional encodings."""
-    a = _as_tensor(a)
-    return _result(a.data + np.asarray(const, dtype=a.dtype), (a,), lambda g: (g,))
 
 
 # ---------------------------------------------------------------------------

@@ -51,6 +51,8 @@ class TrainConfig:
         if not (math.isfinite(self.fm_weight) and self.fm_weight >= 0):
             raise ConfigError(f"TrainConfig: fm_weight must be finite and >= 0, "
                               f"got {self.fm_weight}")
+        if self.seed < 0:
+            raise ConfigError(f"TrainConfig: seed must be >= 0, got {self.seed}")
 
 
 def adam_step(params: dict[str, Tensor], names, v: dict[str, np.ndarray],
@@ -89,8 +91,8 @@ def hinge_d_loss(logits: list[Tensor]) -> Tensor:
     for x in logits:
         if x.shape[0] % 2:
             raise ShapeError(f"hinge_d_loss: {x.shape[0]} rows do not split into real and fake")
-        sign = np.repeat(np.array([1.0, -1.0], dtype=x.dtype), x.size // 2).reshape(x.shape)
-        term = tt.tmean(tt.max_with_scalar(tt.sub(1.0, tt.mul(x, sign)), 0.0))
+        sign = np.repeat(np.array([-1.0, 1.0], dtype=x.dtype), x.size // 2).reshape(x.shape)
+        term = tt.tmean(tt.max_with_scalar(tt.add(tt.mul(x, sign), 1.0), 0.0))
         total = term if total is None else tt.add(total, term)
     return tt.mul(total, 2.0 / len(logits))
 
@@ -99,11 +101,10 @@ def hinge_g_loss(fake_logits: list[Tensor]) -> Tensor:
     """-D(fake), averaged over patches and discriminators."""
     if not fake_logits:
         raise ShapeError("hinge_g_loss: empty logit list")
-    total = None
-    for f in fake_logits:
-        term = tt.neg(tt.tmean(f))
-        total = term if total is None else tt.add(total, term)
-    return tt.mul(total, 1.0 / len(fake_logits))
+    total = tt.tmean(fake_logits[0])
+    for f in fake_logits[1:]:
+        total = tt.add(total, tt.tmean(f))
+    return tt.mul(total, -1.0 / len(fake_logits))
 
 
 def feature_matching_loss(real_feats, fake_feats) -> Tensor:
@@ -119,8 +120,7 @@ def feature_matching_loss(real_feats, fake_feats) -> Tensor:
         if len(rf) != len(ff):
             raise ShapeError("feature_matching_loss: per-discriminator layer counts differ")
         for r, f in zip(rf, ff):
-            r_const = Tensor(r.data if isinstance(r, Tensor) else r)
-            terms.append(tt.tmean(tt.tabs(tt.sub(f, r_const))))
+            terms.append(tt.tmean(tt.tabs(tt.sub(f, r.data if isinstance(r, Tensor) else r))))
     total = terms[0]
     for term in terms[1:]:
         total = tt.add(total, term)
@@ -310,11 +310,16 @@ def load_checkpoint(path, gen_cfg: GeneratorConfig, disc_cfg: DiscriminatorConfi
             key = f"{tag}.v/{name}"
             if key in tensors:
                 moments[name] = _stored(tensors, key, shape)
-    step = int(_stored(tensors, "step").reshape(-1)[0])
+    step = _stored(tensors, "step").reshape(-1)
+    if step.size != 1 or step[0] < 0:
+        raise CheckpointError(f"checkpoint: tensor 'step' must hold one count >= 0, got {step}")
     rng = np.random.default_rng(train_cfg.seed)
-    rng.bit_generator.state = json.loads(bytes(_stored(tensors, "rng")).decode("utf-8"))
+    try:
+        rng.bit_generator.state = json.loads(bytes(_stored(tensors, "rng")).decode("utf-8"))
+    except (ValueError, TypeError, KeyError, OverflowError) as exc:
+        raise CheckpointError(f"checkpoint: tensor 'rng' is not a PCG64 state: {exc}") from exc
     return TrainState(params=params, sn=sn, adam_g=adam_g, adam_d=adam_d, gen_cfg=gen_cfg,
-                      disc_cfg=disc_cfg, train_cfg=train_cfg, rng=rng, step=step)
+                      disc_cfg=disc_cfg, train_cfg=train_cfg, rng=rng, step=int(step[0]))
 
 
 def train_loop(dataset, gen_cfg: GeneratorConfig, disc_cfg: DiscriminatorConfig,

@@ -68,11 +68,12 @@ def _primitive_cases(rng, dtype):
     p4, p3 = proj((4,)), proj((3,))
     p26, p43, p38 = proj((2, 6)), proj((4, 3)), proj((3, 8))
     p35, p186 = proj((3, 5)), proj((1, 8, 6))
+    c4 = np.linspace(-1.5, 2.0, 4)
+    c34 = np.arange(12.0).reshape(3, 4) / 4.0
     cases = [
         ("add", lambda ins: _scalarize(tt.add(ins[0], ins[1]), p34), [a34, b34]),
         ("sub", lambda ins: _scalarize(tt.sub(ins[0], ins[1]), p34), [a34, b34]),
         ("mul", lambda ins: _scalarize(tt.mul(ins[0], ins[1]), p34), [a34, b34]),
-        ("neg", lambda ins: _scalarize(tt.neg(ins[0]), p34), [a34]),
         ("tabs", lambda ins: _scalarize(tt.tabs(ins[0]), p34), [off34]),
         ("leaky_relu", lambda ins: _scalarize(tt.leaky_relu(ins[0], 0.2), p34), [off34]),
         ("gelu", lambda ins: _scalarize(tt.gelu(ins[0]), p34), [a34]),
@@ -87,8 +88,10 @@ def _primitive_cases(rng, dtype):
          [a34]),
         ("concat", lambda ins: _scalarize(tt.concat([ins[0], ins[1]], axis=1),
                                           p38), [a34, b34]),
-        ("add_constant", lambda ins: _scalarize(
-            tt.add_constant(ins[0], np.ones((3, 4), dtype=dtype)), p34), [a34]),
+        # constant operands: not node inputs, cast to the tensor's dtype
+        ("mul_broadcast_constant", lambda ins: _scalarize(tt.mul(ins[0], c4), p34), [a34]),
+        ("add_scalar_constant", lambda ins: _scalarize(tt.add(ins[0], 0.75), p34), [a34]),
+        ("sub_array_constant", lambda ins: _scalarize(tt.sub(ins[0], c34), p34), [a34]),
         ("matmul", lambda ins: _scalarize(tt.matmul(ins[0], ins[1]), p35),
          [a34, _rand(rng, (4, 5), dtype)]),
         ("linear", lambda ins: _scalarize(tt.linear(ins[0], ins[1], ins[2]),
@@ -277,7 +280,7 @@ def test_02_gradient_correctness():
             for name, fn, inputs in cases:
                 worst = tt.check_gradients(fn, inputs, rel_tol=rel_tol)
                 assert worst <= rel_tol, name
-    assert n_cases == 20
+    assert n_cases == 21
     for dtype, rel_tol in ((np.float32, 1e-3), (np.float64, 1e-6)):
         for instance in range(10):
             _composed_loss_check(instance, dtype, rel_tol, "d")
@@ -338,8 +341,8 @@ def test_05_self_reconstruction_bound():
     for _ in range(3):
         truth = data.synth_signal(rng, 0.8)
         interp = dsp.sinc_upsample(dsp.downsample(truth, 2), 2)
-        spec_i = dsp.stft(interp).data
-        spec_t = dsp.stft(truth).data
+        spec_i = dsp.stft(interp)
+        spec_t = dsp.stft(truth)
         frames = min(spec_i.shape[0], spec_t.shape[0])
         low = dsp.to_log_magnitude(np.abs(spec_i[:frames, :dsp.LOW_BINS]))
         high_true = dsp.to_log_magnitude(np.abs(spec_t[:frames, dsp.LOW_BINS:]))

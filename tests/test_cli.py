@@ -128,6 +128,11 @@ class TestCliSynth:
         assert proc.returncode == 2, proc.stderr
         assert "duration" in proc.stderr and "Traceback" not in proc.stderr
 
+    def test_negative_seed_exit_2(self, tmp_path):
+        proc = run_module("synth", "--out", str(tmp_path / "c"), "--files", "2", "--seed", "-1")
+        assert proc.returncode == 2, proc.stderr
+        assert "seed" in proc.stderr and "Traceback" not in proc.stderr
+
 
 class TestCliTrain:
     def test_smoke_and_log_lines(self, cli_corpus, tmp_path):
@@ -172,13 +177,19 @@ class TestCliTrain:
         ("train", "[data]\nheldout_fraction = nan"),
         ("evaluate", "[data]\nheldout_fraction = -0.5"),
         ("train", "[data]\nheldout_fraction = 1.5"),
+        ("train", "[train]\nseed = -1"),
+        ("train", "--seed -1"),
+        ("evaluate", "--seed -1"),
     ], ids=["n_heads", "odd_d_model", "channels", "group_count", "batch_size", "batch_frames",
             "lr_g", "removed_beta1", "fm_weight", "lsd_n_fft", "heldout_nan",
-            "heldout_negative", "heldout_above_one"])
+            "heldout_negative", "heldout_above_one", "seed_in_file", "train_seed_option",
+            "evaluate_seed_option"])
     def test_bad_config_value_exit_1(self, cli_corpus, tmp_path, command, text):
+        # text is either the config file or, starting with "--", options
+        options = text.split() if text.startswith("--") else []
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text(text + "\n")
-        args = ["--max-steps", "2"] if command == "train" else ["--baseline"]
+        cfg.write_text("" if options else text + "\n")
+        args = options + (["--max-steps", "2"] if command == "train" else ["--baseline"])
         proc = run_module(command, "--preset", "desk", "--config", str(cfg), "--corpus",
                           str(cli_corpus), "--run-dir", str(tmp_path / "run"), *args)
         assert proc.returncode == 1, proc.stderr
@@ -244,7 +255,9 @@ class TestCliUpsample:
         rc = cli.main(["upsample", str(src), str(tmp_path / "o.wav")])
         assert rc == 1
 
-    @pytest.mark.parametrize("damage", ["missing", "wrong_shape"])
+    @pytest.mark.parametrize("damage", ["missing", "wrong_shape", "name_not_utf8",
+                                        "rng_not_utf8", "rng_not_pcg64", "step_empty",
+                                        "step_negative"])
     def test_damaged_checkpoint_exit_2(self, tmp_path, capsys, damage):
         cfg_path = write_cfg(tmp_path)
         cfg = load_config(cfg_path)
@@ -253,15 +266,27 @@ class TestCliUpsample:
                                                                cfg.discriminator, cfg.train))
         digest = ck.read_bytes()[8:40]
         tensors = checkpoint.load_tensors(ck)
+        named = "gen.out.b"
         if damage == "missing":
             del tensors["param/gen.out.b"]
-        else:
+        elif damage == "wrong_shape":
             tensors["param/gen.out.b"] = tensors["param/gen.out.b"][:-1]
+        elif damage.startswith("rng"):
+            text = b"\xff\xfe" if damage == "rng_not_utf8" else b'{"bit_generator": "MT19937"}'
+            tensors["rng"], named = np.frombuffer(text, dtype=np.uint8), "'rng'"
+        elif damage.startswith("step"):
+            step = np.zeros(0) if damage == "step_empty" else np.array(-1)
+            tensors["step"], named = step.astype(np.int64), "'step'"
         checkpoint.save_tensors(ck, tensors, digest)
+        if damage == "name_not_utf8":
+            blob = ck.read_bytes()
+            at = blob.index(b"param/gen.out.b")
+            ck.write_bytes(blob.replace(b"param/gen.out.b", b"param/gen.out\xff\xfe"))
+            named = f"record at offset {at - 4}"
         rc = cli.main(["upsample", "--config", cfg_path, "--checkpoint", str(ck),
                        str(self._low_rate_wav(tmp_path)), str(tmp_path / "o.wav")])
         assert rc == 2
-        assert "gen.out.b" in capsys.readouterr().err
+        assert named in capsys.readouterr().err
 
 
 class TestCliEvaluate:

@@ -131,8 +131,7 @@ class TestMakePair:
     def test_low_bins_close_to_ground_truth(self):
         truth = data.synth_signal(np.random.default_rng(11), 0.8)
         ex = data.make_pair(truth)
-        spec = dsp.stft(truth)
-        log_true = dsp.to_log_magnitude(np.abs(spec.data))[:, :257]
+        log_true = dsp.to_log_magnitude(np.abs(dsp.stft(truth)))[:, :257]
         T = min(ex.low_log_mag.shape[0], log_true.shape[0])
         # convert natural-log magnitude difference to base-10 log power RMS
         d = (ex.low_log_mag[:T] - log_true[:T]) * (2.0 / np.log(10.0))
@@ -143,8 +142,17 @@ class TestMakePair:
         with pytest.raises(DataError):
             data.make_pair(AudioBuffer(np.zeros(512), 44100))
 
+    @pytest.mark.parametrize("rate", [48000, 22050])
+    def test_other_rates_rejected(self, rate):
+        with pytest.raises(DataError, match=f"{rate} Hz"):
+            data.make_pair(AudioBuffer(np.zeros(8192), rate))
+
 
 class TestSynthCorpus:
+    def test_negative_seed_rejected(self, tmp_path):
+        with pytest.raises(DataError, match="seed"):
+            data.synth_corpus(-1, 3, 0.2, tmp_path / "x")
+
     def test_same_seed_bit_identical(self, tmp_path):
         a = data.synth_corpus(7, 3, 0.2, tmp_path / "a")
         b = data.synth_corpus(7, 3, 0.2, tmp_path / "b")

@@ -83,6 +83,12 @@ class TestEvaluateCorpus:
         with pytest.raises(DataError):
             evaluate_corpus(None, files, data.read_wav, train_files=files[:1])
 
+    def test_other_rates_rejected(self, tmp_path):
+        path = tmp_path / "48k.wav"
+        data.write_wav(path, noise(3, sr=48000))
+        with pytest.raises(DataError, match="48000 Hz"):
+            evaluate_corpus(None, [path], data.read_wav)
+
     def test_empty_heldout_rejected(self):
         with pytest.raises(DataError):
             evaluate_corpus(None, [], data.read_wav)

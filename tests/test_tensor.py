@@ -98,6 +98,21 @@ class TestElementwise:
         with pytest.raises(ShapeError):
             tt.add(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 2))))
 
+    def test_constant_is_not_an_input(self):
+        x = t64([1.0, 2.0])
+        tt.reset_tape()
+        tt.mul(x, 2.0)
+        (node,) = tt.active_tape().nodes
+        assert node.inputs == (x,)
+        # only a constant broadcasts; two tensors must match, scalar or not
+        for op in (tt.add, tt.sub, tt.mul):
+            with pytest.raises(ShapeError):
+                op(x, t64(3.0))
+            with pytest.raises(ShapeError):
+                op(t64([[3.0]]), x)
+        with pytest.raises(ShapeError):
+            tt.add(x, np.ones(3))
+
 
 class TestReductions:
     def test_mean(self):
@@ -209,16 +224,17 @@ class TestBackward:
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_scalar_operand_takes_tensor_dtype(dtype):
     x = Tensor(np.ones(3), requires_grad=True, dtype=dtype)
-    for out in (tt.add(x, 0.5), tt.sub(1.0, x), tt.mul(x, np.float64(2.0)),
-                tt.mul(np.float32(2.0), x), tt.tmean(x)):
+    for out in (tt.add(x, 0.5), tt.sub(x, np.ones(3)), tt.mul(x, np.float64(2.0)),
+                tt.mul(x, np.float32(2.0)), tt.tmean(x)):
         assert out.dtype == dtype
 
 
 @pytest.mark.parametrize("name,fn,shapes", [
     ("add", lambda x: tt.tsum(tt.add(x[0], x[1])), [(4, 3), (4, 3)]),
-    ("sub_scalar", lambda x: tt.tsum(tt.sub(x[0], x[1])), [(4, 3), ()]),
+    ("sub", lambda x: tt.tsum(tt.mul(tt.sub(x[0], x[1]), x[2])), [(4, 3), (4, 3), (4, 3)]),
     ("mul", lambda x: tt.tsum(tt.mul(x[0], x[1])), [(5,), (5,)]),
-    ("neg", lambda x: tt.tsum(tt.mul(tt.neg(x[0]), x[1])), [(4,), (4,)]),
+    ("mul_constant", lambda x: tt.tsum(tt.mul(tt.mul(x[0], np.linspace(-2.0, 1.0, 4)), x[1])),
+     [(3, 4), (3, 4)]),
     ("softmax", lambda x: tt.tsum(tt.mul(tt.softmax(x[0]), x[1])), [(3, 4), (3, 4)]),
     ("gelu", lambda x: tt.tsum(tt.gelu(x[0])), [(7,)]),
     ("leaky", lambda x: tt.tsum(tt.leaky_relu(x[0], 0.2)), [(7,)]),
