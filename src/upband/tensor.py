@@ -20,6 +20,8 @@ themselves.
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -30,6 +32,14 @@ from .errors import ConfigError, NumericError, ShapeError
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
+
+# The smallest slice of erf's input worth handing to another thread. Waking
+# a worker can cost a millisecond: measured after a GEMM at one OpenBLAS
+# thread on a 2-CPU virtual machine, two slices of 65,536 elements took up
+# to 1.7x the time of erf on one thread, and two of 262,144 took 0.75x.
+_ERF_MIN_SLICE = 262144
+_erf_pool: Optional[ThreadPoolExecutor] = None
+_erf_pool_pid = 0
 
 
 class Tensor:
@@ -174,12 +184,45 @@ def leaky_relu(a, slope: float = 0.2) -> Tensor:
     return _result(a.data * scale, (a,), lambda g: (g * scale,))
 
 
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _erf_inplace(z: np.ndarray) -> None:
+    """erf of the C-contiguous array ``z`` in place, one contiguous slice per
+    usable CPU. erf is elementwise, so the result does not depend on the
+    slice count."""
+    flat = z.reshape(-1)
+    n = min(_usable_cpus(), flat.size // _ERF_MIN_SLICE)
+    if n < 2:
+        erf(flat, out=flat)
+        return
+    global _erf_pool, _erf_pool_pid
+    if _erf_pool is None or _erf_pool_pid != os.getpid():  # a forked child has no workers
+        _erf_pool = ThreadPoolExecutor(thread_name_prefix="upband-erf")
+        _erf_pool_pid = os.getpid()
+    bounds = [flat.size * i // n for i in range(n + 1)]
+    futures = [_erf_pool.submit(erf, flat[lo:hi], out=flat[lo:hi])
+               for lo, hi in zip(bounds[1:-1], bounds[2:])]
+    erf(flat[:bounds[1]], out=flat[:bounds[1]])
+    for f in futures:
+        f.result()
+
+
 def gelu(a) -> Tensor:
-    """Exact Gaussian-error-linear unit: 0.5 * x * (1 + erf(x / sqrt(2)))."""
+    """Exact Gaussian-error-linear unit: 0.5 * x * (1 + erf(x / sqrt(2))).
+
+    On a large input erf runs on one thread per CPU the process may use; the
+    result does not depend on that count."""
     a = _as_tensor(a)
     x = a.data
-    cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))
-    out = (x * cdf).astype(x.dtype)
+    cdf = np.multiply(x, _INV_SQRT2, order="C")
+    _erf_inplace(cdf)
+    cdf += 1.0
+    cdf *= 0.5
+    out = x * cdf
 
     def bwd(g):
         pdf = _INV_SQRT2PI * np.exp(-0.5 * x * x)
@@ -249,6 +292,16 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
 # linear algebra
 
 
+def _rows_matmul(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """x @ w for x [..., d] and a 2-D w as one 2-D GEMM over the rows of x;
+    numpy's batched product calls one GEMM per batch entry, which is slower.
+    The two agree bit for bit when each batch entry has 17 rows or more (on
+    OpenBLAS 0.3.31, at the preset widths); with fewer, OpenBLAS picks other
+    kernels and the last bits can differ."""
+    out = x.reshape(-1, x.shape[-1]) @ w
+    return out.reshape(x.shape[:-1] + (w.shape[1],))
+
+
 def matmul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     if a.ndim < 2 or b.ndim < 2:
@@ -259,10 +312,11 @@ def matmul(a, b) -> Tensor:
         raise ShapeError(f"matmul: batch ranks incompatible for shapes {a.shape} and {b.shape}")
     if a.ndim == b.ndim and a.ndim > 2 and a.shape[:-2] != b.shape[:-2]:
         raise ShapeError(f"matmul: batch dimensions differ for shapes {a.shape} and {b.shape}")
-    out = np.matmul(a.data, b.data)
+    rows = a.ndim > 2 and b.ndim == 2  # a stationary weight: one GEMM over all rows of a
+    out = _rows_matmul(a.data, b.data) if rows else np.matmul(a.data, b.data)
 
     def bwd(g):
-        da = np.matmul(g, np.swapaxes(b.data, -1, -2))
+        da = _rows_matmul(g, b.data.T) if rows else np.matmul(g, np.swapaxes(b.data, -1, -2))
         db = np.matmul(np.swapaxes(a.data, -1, -2), g)
         if da.shape != a.shape:  # a was a stationary 2-D factor under a batched product
             da = da.reshape((-1,) + a.shape).sum(axis=0)
@@ -278,12 +332,13 @@ def linear(x, w, b) -> Tensor:
     x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
     if x.shape[-1] != w.shape[0] or b.shape != (w.shape[1],):
         raise ShapeError(f"linear: incompatible shapes x={x.shape} w={w.shape} b={b.shape}")
-    out = np.matmul(x.data, w.data) + b.data
+    out = _rows_matmul(x.data, w.data)
+    out += b.data
 
     def bwd(g):
         g2 = g.reshape(-1, g.shape[-1])
         x2 = x.data.reshape(-1, x.shape[-1])
-        return (np.matmul(g, w.data.T), np.matmul(x2.T, g2), g2.sum(axis=0))
+        return (_rows_matmul(g, w.data.T), np.matmul(x2.T, g2), g2.sum(axis=0))
 
     return _result(out, (x, w, b), bwd)
 
@@ -354,9 +409,10 @@ def conv1d_grouped(x, w, b, stride: int = 1, padding: int = 0, groups: int = 1) 
 
 def softmax(a, axis: int = -1) -> Tensor:
     a = _as_tensor(a)
-    if np.any(np.isnan(a.data)):
+    peak = np.max(a.data, axis=axis, keepdims=True)
+    if np.isnan(peak).any():  # max propagates NaN, so any NaN reaches its row's peak
         raise NumericError("softmax: NaN in input")
-    shifted = a.data - np.max(a.data, axis=axis, keepdims=True)
+    shifted = a.data - peak
     e = np.exp(shifted)
     out = e / np.sum(e, axis=axis, keepdims=True)
 
@@ -373,10 +429,10 @@ def layer_norm(x, gain, shift, eps: float = 1e-5) -> Tensor:
     d = x.shape[-1]
     if gain.shape != (d,) or shift.shape != (d,):
         raise ShapeError(f"layer_norm: gain/shift must have shape ({d},), got {gain.shape}/{shift.shape}")
-    mu = np.mean(x.data, axis=-1, keepdims=True)
-    var = np.var(x.data, axis=-1, keepdims=True)
+    xc = x.data - np.mean(x.data, axis=-1, keepdims=True)
+    var = np.mean(xc * xc, axis=-1, keepdims=True)  # np.var's sum and divide, bit for bit
     inv = 1.0 / np.sqrt(var + eps)
-    y = (x.data - mu) * inv
+    y = xc * inv
     out = y * gain.data + shift.data
 
     def bwd(g):
@@ -387,7 +443,7 @@ def layer_norm(x, gain, shift, eps: float = 1e-5) -> Tensor:
         dshift = np.sum(g, axis=tuple(range(x.ndim - 1)))
         return (dx.astype(x.dtype), dgain, dshift)
 
-    return _result(out.astype(x.dtype), (x, gain, shift), bwd)
+    return _result(out.astype(x.dtype, copy=False), (x, gain, shift), bwd)
 
 
 # ---------------------------------------------------------------------------

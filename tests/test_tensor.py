@@ -1,10 +1,12 @@
+import math
 import zlib
 
 import numpy as np
 import pytest
+from scipy.special import erf
 
 from upband import tensor as tt
-from upband.errors import ConfigError, ShapeError
+from upband.errors import ConfigError, NumericError, ShapeError
 from upband.tensor import Tensor
 
 
@@ -36,6 +38,103 @@ class TestMatmul:
         ins = [t64(rng.normal(size=(3, 4))), t64(rng.normal(size=(4, 2)))]
         err = tt.check_gradients(lambda x: tt.tsum(tt.matmul(x[0], x[1])), ins, rel_tol=1e-6)
         assert err < 1e-6
+
+
+# [B, T, d_in, d_out] at the widths the presets run: desk FFN and input
+# projection over 64-frame training windows, a desk key projection over
+# two 33-frame inference windows, a default FFN over 65-frame windows
+MODEL_SHAPES = [(4, 64, 128, 512), (4, 64, 257, 128), (2, 33, 128, 128), (2, 65, 512, 2048)]
+
+
+def _projection(op, shape, rng):
+    """Forward and gradients of op ("linear" or "matmul") on float32 inputs
+    of ``shape`` under a random output gradient, and those inputs."""
+    B, T, d_in, d_out = shape
+    x = Tensor(rng.normal(size=(B, T, d_in)), requires_grad=True, dtype=np.float32)
+    w = Tensor(rng.normal(size=(d_in, d_out)) / math.sqrt(d_in), requires_grad=True,
+               dtype=np.float32)
+    b = Tensor(rng.normal(size=d_out), requires_grad=True, dtype=np.float32)
+    g = rng.normal(size=(B, T, d_out)).astype(np.float32)
+    out = tt.linear(x, w, b) if op == "linear" else tt.matmul(x, w)
+    tt.backward(tt.tsum(tt.mul(out, g)))
+    got = [out.data, x.grad, w.grad] + ([b.grad] if op == "linear" else [])
+    return got, x.data, w.data, b.data, g
+
+
+def _batched_reference(op, x, w, b, g):
+    """The same forward and gradients by numpy's batched product, one GEMM
+    per batch row, with the weight gradient summed as each op sums it."""
+    out = np.matmul(x, w)
+    dx = np.matmul(g, w.T)
+    if op == "matmul":
+        return [out, dx, np.matmul(np.swapaxes(x, -1, -2), g).sum(axis=0)]
+    g2, x2 = g.reshape(-1, g.shape[-1]), x.reshape(-1, x.shape[-1])
+    return [out + b, dx, np.matmul(x2.T, g2), g2.sum(axis=0)]
+
+
+class TestProjection:
+    @pytest.mark.parametrize("op", ["linear", "matmul"])
+    @pytest.mark.parametrize("shape", MODEL_SHAPES)
+    def test_bytes_match_batched_product(self, op, shape):
+        got, *inputs = _projection(op, shape, np.random.default_rng(shape[2]))
+        for a, ref in zip(got, _batched_reference(op, *inputs), strict=True):
+            assert a.dtype == np.float32
+            np.testing.assert_array_equal(a, ref)
+
+    @pytest.mark.parametrize("op", ["linear", "matmul"])
+    def test_few_rows_per_batch_entry(self, op):
+        # OpenBLAS runs other kernels on so few rows, so only the values agree
+        got, *inputs = _projection(op, (3, 5, 33, 17), np.random.default_rng(3))
+        for a, ref in zip(got, _batched_reference(op, *inputs), strict=True):
+            np.testing.assert_allclose(a, ref, rtol=1e-5, atol=1e-5)
+
+    def test_four_dim_input(self):
+        rng = np.random.default_rng(4)
+        x, w = t64(rng.normal(size=(2, 3, 5, 7))), t64(rng.normal(size=(7, 4)))
+        err = tt.check_gradients(lambda i: tt.tsum(tt.mul(tt.matmul(i[0], i[1]), 1.5)),
+                                 [x, w], rel_tol=1e-6)
+        assert err < 1e-6
+        np.testing.assert_allclose(tt.matmul(x, w).data, np.matmul(x.data, w.data), rtol=1e-12)
+
+
+def _gelu_reference(x, g):
+    """GELU and its input gradient on one thread, in the op order of the
+    elementwise form."""
+    cdf = 0.5 * (1.0 + erf(x * (1.0 / math.sqrt(2.0))))
+    pdf = (1.0 / math.sqrt(2.0 * math.pi)) * np.exp(-0.5 * x * x)
+    return x * cdf, g * (cdf + x * pdf)
+
+
+class TestGelu:
+    @pytest.mark.parametrize("cpus", [1, 3, 4])
+    @pytest.mark.parametrize("case", ["below_slice", "several_slices", "uneven_slices",
+                                      "transposed_view", "float64"])
+    def test_bytes_match_one_thread(self, monkeypatch, case, cpus):
+        monkeypatch.setattr(tt, "_usable_cpus", lambda: cpus)
+        n = tt._ERF_MIN_SLICE
+        rng = np.random.default_rng(zlib.crc32(case.encode()))
+        dtype = np.float64 if case == "float64" else np.float32
+        shape = {"below_slice": (7, 11), "several_slices": (8, n // 2),
+                 "uneven_slices": (5 * n + 7,), "transposed_view": (3 * n // 64 + 5, 64),
+                 "float64": (4, n)}[case]
+        x = (4.0 * rng.normal(size=shape)).astype(dtype)
+        if case == "transposed_view":
+            x = x.T
+            assert not x.flags.c_contiguous
+        g = rng.normal(size=x.shape).astype(dtype)
+        xt = Tensor(x, requires_grad=True)
+        out = tt.gelu(xt)
+        tt.backward(tt.tsum(tt.mul(out, g)))
+        ref_out, ref_dx = _gelu_reference(x, g)
+        assert out.dtype == dtype and xt.grad.dtype == dtype
+        np.testing.assert_array_equal(out.data, ref_out)
+        np.testing.assert_array_equal(xt.grad, ref_dx)
+
+    def test_input_untouched(self):
+        x = np.random.default_rng(8).normal(size=(4, tt._ERF_MIN_SLICE)).astype(np.float32)
+        before = x.copy()
+        tt.gelu(Tensor(x))
+        np.testing.assert_array_equal(x, before)
 
 
 class TestConv1dGrouped:
@@ -142,6 +241,14 @@ class TestSoftmax:
         out = tt.softmax(Tensor(rng.normal(size=(6, 9))))
         np.testing.assert_allclose(out.data.sum(axis=-1), np.ones(6), atol=1e-6)
 
+    @pytest.mark.parametrize("axis", [-1, 0])
+    def test_nan_off_the_row_max_rejected(self, axis):
+        x = np.zeros((3, 4), dtype=np.float32)
+        x[1, 2] = 5.0
+        x[1, 1] = x[2, 2] = np.nan
+        with pytest.raises(NumericError):
+            tt.softmax(Tensor(x), axis=axis)
+
 
 class TestLayerNorm:
     def test_constant_row_is_zero(self):
@@ -154,6 +261,19 @@ class TestLayerNorm:
         x = Tensor(rng.normal(size=(4, 16)))
         out = tt.layer_norm(x, Tensor(np.ones(16)), Tensor(np.zeros(16)))
         assert np.all(np.abs(out.data.mean(axis=-1)) < 1e-5)
+
+    @pytest.mark.parametrize("shape", [(3, 8), (4, 64, 128), (2, 33, 512), (5, 257)])
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+    def test_bytes_match_np_var(self, shape, scale):
+        rng = np.random.default_rng(shape[-1])
+        x = (scale * rng.normal(size=shape) + scale).astype(np.float32)
+        gain = rng.normal(size=shape[-1]).astype(np.float32)
+        shift = rng.normal(size=shape[-1]).astype(np.float32)
+        mu = np.mean(x, axis=-1, keepdims=True)
+        y = (x - mu) * (1.0 / np.sqrt(np.var(x, axis=-1, keepdims=True) + 1e-5))
+        out = tt.layer_norm(Tensor(x), Tensor(gain), Tensor(shift))
+        assert out.dtype == np.float32
+        np.testing.assert_array_equal(out.data, y * gain + shift)
 
     def test_gradcheck_f32(self):
         rng = np.random.default_rng(7)
