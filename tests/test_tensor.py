@@ -63,7 +63,7 @@ def _projection(op, shape, rng):
 
 def _batched_reference(op, x, w, b, g):
     """The same forward and gradients by numpy's batched product, one GEMM
-    per batch row, with the weight gradient summed as each op sums it."""
+    per batch entry, with the weight gradient summed as each op sums it."""
     out = np.matmul(x, w)
     dx = np.matmul(g, w.T)
     if op == "matmul":
