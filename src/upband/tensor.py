@@ -20,8 +20,6 @@ themselves.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -32,14 +30,6 @@ from .errors import ConfigError, NumericError, ShapeError
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
-
-# The smallest slice of erf's input worth handing to another thread. Waking
-# a worker can cost a millisecond: measured after a GEMM at one OpenBLAS
-# thread on a 2-CPU virtual machine, two slices of 65,536 elements took up
-# to 1.7x the time of erf on one thread, and two of 262,144 took 0.75x.
-_ERF_MIN_SLICE = 262144
-_erf_pool: Optional[ThreadPoolExecutor] = None
-_erf_pool_pid = 0
 
 
 class Tensor:
@@ -184,42 +174,12 @@ def leaky_relu(a, slope: float = 0.2) -> Tensor:
     return _result(a.data * scale, (a,), lambda g: (g * scale,))
 
 
-def _usable_cpus() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _erf_inplace(z: np.ndarray) -> None:
-    """erf of the C-contiguous array ``z`` in place, one contiguous slice per
-    usable CPU. erf is elementwise, so the result does not depend on the
-    slice count."""
-    flat = z.reshape(-1)
-    n = min(_usable_cpus(), flat.size // _ERF_MIN_SLICE)
-    if n < 2:
-        erf(flat, out=flat)
-        return
-    global _erf_pool, _erf_pool_pid
-    if _erf_pool is None or _erf_pool_pid != os.getpid():  # a forked child has no workers
-        _erf_pool = ThreadPoolExecutor(thread_name_prefix="upband-erf")
-        _erf_pool_pid = os.getpid()
-    bounds = [flat.size * i // n for i in range(n + 1)]
-    futures = [_erf_pool.submit(erf, flat[lo:hi], out=flat[lo:hi])
-               for lo, hi in zip(bounds[1:-1], bounds[2:])]
-    erf(flat[:bounds[1]], out=flat[:bounds[1]])
-    for f in futures:
-        f.result()
-
-
 def gelu(a) -> Tensor:
-    """Exact Gaussian-error-linear unit: 0.5 * x * (1 + erf(x / sqrt(2))).
-
-    On a large input erf runs on one thread per CPU the process may use; the
-    result does not depend on that count."""
+    """Exact Gaussian-error-linear unit: 0.5 * x * (1 + erf(x / sqrt(2)))."""
     a = _as_tensor(a)
     x = a.data
-    cdf = np.multiply(x, _INV_SQRT2, order="C")
-    _erf_inplace(cdf)
+    cdf = x * _INV_SQRT2
+    erf(cdf, out=cdf)
     cdf += 1.0
     cdf *= 0.5
     out = x * cdf
