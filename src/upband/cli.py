@@ -2,7 +2,8 @@
 
 Commands: ``synth`` (generate a synthetic corpus), ``train``,
 ``upsample``, ``evaluate``, ``check``. Exit codes: 0 success, 1 config
-error, 2 data error, 3 numeric abort, 4 self-check failure.
+error, 2 data error (an output that cannot be written too), 3 numeric
+abort, 4 self-check failure.
 """
 
 from __future__ import annotations
@@ -27,9 +28,9 @@ def _echo(cfg: RunConfig, run_dir: Path | None = None) -> None:
 
 def _collect_overrides(args) -> dict:
     overrides = {}
-    if args.max_steps is not None:
+    if getattr(args, "max_steps", None) is not None:
         overrides["train.max_steps"] = args.max_steps
-    if args.seed is not None:
+    if getattr(args, "seed", None) is not None:
         overrides["train.seed"] = args.seed
     if getattr(args, "corpus", None):
         overrides["paths.corpus"] = args.corpus
@@ -39,6 +40,9 @@ def _collect_overrides(args) -> dict:
 
 
 def _load_split(cfg: RunConfig):
+    """Train and held-out sides of the corpus. The shuffle's seed is fixed, so
+    the held-out set depends only on the corpus and ``[data]``, not on the
+    train seed: a model is never scored on files it trained on."""
     corpus_dir = Path(cfg.paths.corpus)
     manifest = corpus_dir / "manifest.txt"
     if not corpus_dir.is_dir() or not manifest.exists():
@@ -46,7 +50,7 @@ def _load_split(cfg: RunConfig):
     corpus = data.load_manifest(corpus_dir, manifest)
     tag = cfg.data.heldout_tag or None
     return data.split_corpus(corpus, heldout_fraction=cfg.data.heldout_fraction,
-                             heldout_tag=tag, seed=cfg.train.seed)
+                             heldout_tag=tag)
 
 
 def cmd_synth(args) -> int:
@@ -121,14 +125,9 @@ def build_parser() -> argparse.ArgumentParser:
                                      description="Neural audio upsampling toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, steps=True):
+    def common(p):
         p.add_argument("--config", default=None, help="key = value config file")
         p.add_argument("--preset", default="default", help="default or desk")
-        if steps:
-            p.add_argument("--max-steps", type=int, default=None)
-            p.add_argument("--seed", type=int, default=None)
-            p.add_argument("--corpus", default=None)
-            p.add_argument("--run-dir", default=None)
 
     p = sub.add_parser("synth", help="generate a synthetic training corpus")
     p.add_argument("--out", required=True)
@@ -139,11 +138,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="adversarial training")
     common(p)
+    p.add_argument("--max-steps", type=int, default=None)
+    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--corpus", default=None)
+    p.add_argument("--run-dir", default=None)
     p.add_argument("--resume", default=None, help="checkpoint to resume from")
     p.set_defaults(fn=cmd_train)
 
     p = sub.add_parser("upsample", help="22050 Hz wav in, 44100 Hz wav out")
-    common(p, steps=False)
+    common(p)
     p.add_argument("--checkpoint", default=None)
     p.add_argument("--bypass-model", action="store_true",
                    help="pure interpolation baseline, no checkpoint needed")
@@ -153,6 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("evaluate", help="LSD/SNR report on the held-out split")
     common(p)
+    p.add_argument("--corpus", default=None)
     p.add_argument("--checkpoint", default=None)
     p.add_argument("--baseline", action="store_true")
     p.set_defaults(fn=cmd_evaluate)
@@ -169,7 +173,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except DataError as exc:
+    except (DataError, OSError) as exc:  # OSError: an output that cannot be written
         print(f"data error: {exc}", file=sys.stderr)
         return 2
     except NumericError as exc:

@@ -72,17 +72,6 @@ class DiscriminatorConfig:
         return len(self.group_counts)
 
 
-class SpectralNormState:
-    """Persisted left-singular-vector estimates, one unit vector per weight."""
-
-    def __init__(self):
-        self.u: dict[str, np.ndarray] = {}
-
-    def init(self, name: str, rows: int, rng: np.random.Generator) -> None:
-        u = rng.normal(size=rows)
-        self.u[name] = (u / np.linalg.norm(u)).astype(np.float32)
-
-
 # Discriminator spectra stay tightly clustered during training, so a
 # single power iteration per forward lags the optimizer and can misjudge
 # sigma by 30% or more. A short fixed budget keeps the estimate within a
@@ -90,18 +79,19 @@ class SpectralNormState:
 POWER_ITERS = 20
 
 
-def spectral_normalize(weight: Tensor, state: SpectralNormState, name: str,
+def spectral_normalize(weight: Tensor, sn: dict[str, np.ndarray], name: str,
                        update: bool = True) -> Tensor:
     """Divide a weight by its power-iteration largest-singular-value estimate.
 
     The weight is viewed as 2-D with output channels first. Every call
-    advances a working copy of the persisted u vector by ``POWER_ITERS``
+    advances a working copy of ``sn[name]``, the persisted unit estimate of
+    the weight's left singular vector u, by ``POWER_ITERS``
     iterations before sigma is read off; with ``update`` set (training)
     the advanced vector is stored back. Gradient flows through sigma
     with u and v treated as constants (standard practice).
     """
     w2 = weight.data.reshape(weight.shape[0], -1)
-    u = state.u[name].astype(w2.dtype)
+    u = sn[name].astype(w2.dtype)
     v = None
     for _ in range(POWER_ITERS):
         v = w2.T @ u
@@ -109,7 +99,7 @@ def spectral_normalize(weight: Tensor, state: SpectralNormState, name: str,
         u = w2 @ v
         u = u / max(np.linalg.norm(u), 1e-12)
     if update:
-        state.u[name] = u.astype(np.float32)
+        sn[name] = u.astype(np.float32)
     sigma = float(u @ w2 @ v)
     sigma = max(sigma, 1e-12)
     out = weight.data / sigma
@@ -164,13 +154,13 @@ def is_spectrally_normalized(name: str) -> bool:
 
 
 def init_parameters(gen_cfg: GeneratorConfig, disc_cfg: DiscriminatorConfig,
-                    seed: int) -> tuple[dict[str, Tensor], SpectralNormState]:
+                    seed: int) -> tuple[dict[str, Tensor], dict[str, np.ndarray]]:
     """Deterministic fan-in-scaled uniform init of every weight; layer-norm
     gains one, biases and shifts zero. A spectrally normalized weight's u
     vector is drawn right after the weight."""
     rng = np.random.default_rng(seed)
     params: dict[str, Tensor] = {}
-    sn = SpectralNormState()
+    sn: dict[str, np.ndarray] = {}
     for name, shape in parameter_shapes(gen_cfg, disc_cfg).items():
         if len(shape) == 1:
             fill = np.ones if name.endswith(".g") else np.zeros
@@ -182,7 +172,8 @@ def init_parameters(gen_cfg: GeneratorConfig, disc_cfg: DiscriminatorConfig,
             array = rng.uniform(-bound, bound, size=shape).astype(np.float32)
         params[name] = Tensor(array, requires_grad=True)
         if is_spectrally_normalized(name):
-            sn.init(name, shape[0], rng)
+            u = rng.normal(size=shape[0])
+            sn[name] = (u / np.linalg.norm(u)).astype(np.float32)
     # converge the singular-vector estimates before the first step
     with tt.no_grad():
         discriminator_weights(params, sn, update=True)
@@ -279,11 +270,11 @@ def make_generator_fn(params: dict[str, Tensor], cfg: GeneratorConfig):
 # discriminators
 
 
-def discriminator_weights(params: dict[str, Tensor], sn_state: SpectralNormState,
+def discriminator_weights(params: dict[str, Tensor], sn: dict[str, np.ndarray],
                           update: bool) -> dict[str, Tensor]:
     """Every ``disc*`` tensor as the discriminators use it: the weights
     spectrally normalized (``update`` stores their u vectors), the biases as is."""
-    return {name: spectral_normalize(params[name], sn_state, name, update=update)
+    return {name: spectral_normalize(params[name], sn, name, update=update)
             if is_spectrally_normalized(name) else params[name]
             for name in discriminator_parameter_names(params)}
 

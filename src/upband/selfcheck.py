@@ -91,13 +91,13 @@ def lsd_oracle() -> None:
 def spectral_norm() -> None:
     """Power iteration drives a static weight's normalized sigma to one."""
     rng = np.random.default_rng(5)
-    state = model.SpectralNormState()
-    state.init("w", 16, rng)
+    u = rng.normal(size=16)
+    sn = {"w": (u / np.linalg.norm(u)).astype(np.float32)}
     w = tt.Tensor(rng.normal(size=(16, 16)), requires_grad=True)
     with tt.no_grad():
         for _ in range(50):
-            model.spectral_normalize(w, state, "w", update=True)
-        normalized = model.spectral_normalize(w, state, "w", update=False)
+            model.spectral_normalize(w, sn, "w", update=True)
+        normalized = model.spectral_normalize(w, sn, "w", update=False)
     sigma = np.linalg.svd(normalized.data, compute_uv=False)[0]
     if not 0.95 <= sigma <= 1.05:
         raise NumericError(f"spectral norm: sigma {sigma:.4f} outside [0.95, 1.05]")

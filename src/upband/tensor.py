@@ -7,14 +7,15 @@ path, and removes the loss's ancestors from the tape; other nodes stay for
 a later backward. Float32 is the working precision; float64 is used by the
 finite-difference checker.
 
-The first operand of ``add``/``sub``/``mul`` is a tensor. The second is a
-tensor of the same shape, or a constant: a Python or numpy scalar or array,
-cast to the first operand's dtype, that must broadcast to its shape. A
-constant is not a node input and gets no gradient; ``mul(x32, 0.5)`` stays
-float32 and ``mul(x64, 0.5)`` float64 under NumPy 1.x and 2.x promotion
-alike. Primitives that need a broadcast internally (bias in
-``linear``/``conv1d_grouped``, gain/shift in ``layer_norm``) handle it
-themselves.
+Every operand of a primitive is a ``Tensor``, with one exception: the
+second operand of ``add``/``sub``/``mul`` is a tensor of the same shape, or
+a constant: a Python or numpy scalar or array, cast to the first operand's
+dtype, that must broadcast to its shape. A constant is not a node input and
+gets no gradient; ``mul(x32, 0.5)`` stays float32 and ``mul(x64, 0.5)``
+float64 under NumPy 1.x and 2.x promotion alike. Primitives that need a
+broadcast internally (bias in ``linear``/``conv1d_grouped``, gain/shift in
+``layer_norm``) handle it themselves. ``tsum`` and ``tmean`` reduce every
+element to a scalar.
 """
 
 from __future__ import annotations
@@ -114,10 +115,6 @@ class no_grad:
         return False
 
 
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
-
-
 def _result(data: np.ndarray, inputs: Sequence[Tensor], backward_fn: Callable) -> Tensor:
     requires = _tape.enabled and any(t.requires_grad for t in inputs)
     out = Tensor(data, requires_grad=requires)
@@ -162,21 +159,18 @@ def mul(a: Tensor, b) -> Tensor:
                    lambda g: (g * bd, g * a.data) if len(inputs) == 2 else (g * bd,))
 
 
-def tabs(a) -> Tensor:
-    a = _as_tensor(a)
+def tabs(a: Tensor) -> Tensor:
     return _result(np.abs(a.data), (a,), lambda g: (g * np.sign(a.data),))
 
 
-def leaky_relu(a, slope: float = 0.2) -> Tensor:
-    a = _as_tensor(a)
+def leaky_relu(a: Tensor, slope: float = 0.2) -> Tensor:
     mask = a.data > 0
     scale = np.where(mask, 1.0, slope).astype(a.dtype)
     return _result(a.data * scale, (a,), lambda g: (g * scale,))
 
 
-def gelu(a) -> Tensor:
+def gelu(a: Tensor) -> Tensor:
     """Exact Gaussian-error-linear unit: 0.5 * x * (1 + erf(x / sqrt(2)))."""
-    a = _as_tensor(a)
     x = a.data
     cdf = x * _INV_SQRT2
     erf(cdf, out=cdf)
@@ -191,8 +185,7 @@ def gelu(a) -> Tensor:
     return _result(out, (a,), bwd)
 
 
-def max_with_scalar(a, c: float) -> Tensor:
-    a = _as_tensor(a)
+def max_with_scalar(a: Tensor, c: float) -> Tensor:
     mask = a.data > c
     return _result(np.where(mask, a.data, a.dtype.type(c)), (a,), lambda g: (g * mask,))
 
@@ -201,47 +194,33 @@ def max_with_scalar(a, c: float) -> Tensor:
 # reductions
 
 
-def tsum(a, axis: Optional[int] = None) -> Tensor:
-    a = _as_tensor(a)
-    if axis is not None and not (-a.ndim <= axis < a.ndim):
-        raise ShapeError(f"sum: axis {axis} out of range for rank {a.ndim}")
-    out = np.sum(a.data, axis=axis)
-
-    def bwd(g):
-        if axis is None:
-            return (np.broadcast_to(g, a.shape).astype(a.dtype),)
-        return (np.broadcast_to(np.expand_dims(g, axis), a.shape).astype(a.dtype),)
-
-    return _result(np.asarray(out, dtype=a.dtype), (a,), bwd)
+def tsum(a: Tensor) -> Tensor:
+    """Sum of every element."""
+    return _result(np.asarray(np.sum(a.data), dtype=a.dtype), (a,),
+                   lambda g: (np.broadcast_to(g, a.shape).astype(a.dtype),))
 
 
-def tmean(a, axis: Optional[int] = None) -> Tensor:
-    a = _as_tensor(a)
-    if axis is not None and not (-a.ndim <= axis < a.ndim):
-        raise ShapeError(f"mean: axis {axis} out of range for rank {a.ndim}")
-    count = a.size if axis is None else a.shape[axis]
-    return mul(tsum(a, axis=axis), 1.0 / count)
+def tmean(a: Tensor) -> Tensor:
+    """Mean of every element."""
+    return mul(tsum(a), 1.0 / a.size)
 
 
 # ---------------------------------------------------------------------------
 # shape plumbing
 
 
-def reshape(a, shape) -> Tensor:
-    a = _as_tensor(a)
+def reshape(a: Tensor, shape) -> Tensor:
     old = a.shape
     return _result(a.data.reshape(shape), (a,), lambda g: (g.reshape(old),))
 
 
-def transpose(a, axes) -> Tensor:
-    a = _as_tensor(a)
+def transpose(a: Tensor, axes) -> Tensor:
     inv = np.argsort(axes)
     return _result(np.ascontiguousarray(a.data.transpose(axes)), (a,),
                    lambda g: (np.ascontiguousarray(g.transpose(inv)),))
 
 
 def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
-    tensors = [_as_tensor(t) for t in tensors]
     sizes = [t.shape[axis] for t in tensors]
     splits = np.cumsum(sizes)[:-1]
     out = np.concatenate([t.data for t in tensors], axis=axis)
@@ -262,15 +241,14 @@ def _rows_matmul(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     return out.reshape(x.shape[:-1] + (w.shape[1],))
 
 
-def matmul(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
+def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """a @ b for two inputs of equal rank and batch shape, or a batched a
+    [..., n, d] times a 2-D b [d, m]."""
     if a.ndim < 2 or b.ndim < 2:
         raise ShapeError(f"matmul: inputs must be at least 2-D, got {a.shape} and {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul: inner dimensions disagree for shapes {a.shape} and {b.shape}")
-    if a.ndim != b.ndim and min(a.ndim, b.ndim) != 2:
-        raise ShapeError(f"matmul: batch ranks incompatible for shapes {a.shape} and {b.shape}")
-    if a.ndim == b.ndim and a.ndim > 2 and a.shape[:-2] != b.shape[:-2]:
+    if b.ndim != 2 and a.shape[:-2] != b.shape[:-2]:
         raise ShapeError(f"matmul: batch dimensions differ for shapes {a.shape} and {b.shape}")
     rows = a.ndim > 2 and b.ndim == 2  # a stationary weight: one GEMM over all rows of a
     out = _rows_matmul(a.data, b.data) if rows else np.matmul(a.data, b.data)
@@ -278,18 +256,15 @@ def matmul(a, b) -> Tensor:
     def bwd(g):
         da = _rows_matmul(g, b.data.T) if rows else np.matmul(g, np.swapaxes(b.data, -1, -2))
         db = np.matmul(np.swapaxes(a.data, -1, -2), g)
-        if da.shape != a.shape:  # a was a stationary 2-D factor under a batched product
-            da = da.reshape((-1,) + a.shape).sum(axis=0)
-        if db.shape != b.shape:
+        if rows:  # sum the weight's gradient over the batch
             db = db.reshape((-1,) + b.shape).sum(axis=0)
         return (da, db)
 
     return _result(out, (a, b), bwd)
 
 
-def linear(x, w, b) -> Tensor:
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """x @ w + b with b broadcast over leading axes. x: [..., d_in], w: [d_in, d_out], b: [d_out]."""
-    x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
     if x.shape[-1] != w.shape[0] or b.shape != (w.shape[1],):
         raise ShapeError(f"linear: incompatible shapes x={x.shape} w={w.shape} b={b.shape}")
     out = _rows_matmul(x.data, w.data)
@@ -307,14 +282,14 @@ def linear(x, w, b) -> Tensor:
 # grouped 1-D convolution
 
 
-def conv1d_grouped(x, w, b, stride: int = 1, padding: int = 0, groups: int = 1) -> Tensor:
+def conv1d_grouped(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0,
+                   groups: int = 1) -> Tensor:
     """Grouped 1-D convolution over the last (time) axis.
 
     x: [B, C_in, T]; w: [C_out, C_in/groups, k]; b: [C_out].
     Output time length is floor((T + 2*padding - k) / stride) + 1. Channel
     group i of the output depends only on channel group i of the input.
     """
-    x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
     if x.ndim != 3 or w.ndim != 3 or b.ndim != 1:
         raise ShapeError(f"conv1d_grouped: expected x [B,C,T], w [C_out,C_in/g,k], b [C_out]; "
                          f"got {x.shape}, {w.shape}, {b.shape}")
@@ -367,8 +342,7 @@ def conv1d_grouped(x, w, b, stride: int = 1, padding: int = 0, groups: int = 1) 
 # softmax / layer norm
 
 
-def softmax(a, axis: int = -1) -> Tensor:
-    a = _as_tensor(a)
+def softmax(a: Tensor, axis: int = -1) -> Tensor:
     peak = np.max(a.data, axis=axis, keepdims=True)
     if np.isnan(peak).any():  # max propagates NaN, so any NaN reaches its row's peak
         raise NumericError("softmax: NaN in input")
@@ -383,9 +357,8 @@ def softmax(a, axis: int = -1) -> Tensor:
     return _result(out, (a,), bwd)
 
 
-def layer_norm(x, gain, shift, eps: float = 1e-5) -> Tensor:
+def layer_norm(x: Tensor, gain: Tensor, shift: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize over the last axis to zero mean / unit variance, then affine."""
-    x, gain, shift = _as_tensor(x), _as_tensor(gain), _as_tensor(shift)
     d = x.shape[-1]
     if gain.shape != (d,) or shift.shape != (d,):
         raise ShapeError(f"layer_norm: gain/shift must have shape ({d},), got {gain.shape}/{shift.shape}")
@@ -432,7 +405,7 @@ def backward(loss: Tensor) -> None:
         gout = entry[1]
         in_grads = node.backward_fn(gout)
         for inp, gin in zip(node.inputs, in_grads):
-            if gin is None or not inp.requires_grad:
+            if not inp.requires_grad:
                 continue
             key = id(inp)
             if key in grads:
@@ -440,8 +413,7 @@ def backward(loss: Tensor) -> None:
             else:
                 grads[key] = (inp, gin)
     for tensor, g in grads.values():
-        if tensor.requires_grad:
-            tensor.grad = g if tensor.grad is None else tensor.grad + g
+        tensor.grad = g if tensor.grad is None else tensor.grad + g
     _tape.nodes[:] = [n for n in _tape.nodes if id(n.out) not in grads]
 
 

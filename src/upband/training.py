@@ -21,10 +21,10 @@ from . import checkpoint as ckpt
 from . import tensor as tt
 from .errors import (CheckpointError, ConfigError, DataError, NumericError, ShapeError,
                      require_positive)
-from .model import (DiscriminatorConfig, GeneratorConfig, SpectralNormState,
-                    all_discriminators_forward, discriminator_parameter_names,
-                    discriminator_weights, generator_forward, generator_parameter_names,
-                    init_parameters, is_spectrally_normalized, parameter_shapes)
+from .model import (DiscriminatorConfig, GeneratorConfig, all_discriminators_forward,
+                    discriminator_parameter_names, discriminator_weights, generator_forward,
+                    generator_parameter_names, init_parameters, is_spectrally_normalized,
+                    parameter_shapes)
 from .tensor import Tensor
 
 
@@ -134,7 +134,8 @@ def feature_matching_loss(real_feats, fake_feats) -> Tensor:
 @dataclass
 class TrainState:
     params: dict[str, Tensor]
-    sn: SpectralNormState
+    # spectral-norm u vector by discriminator weight name
+    sn: dict[str, np.ndarray]
     # Adam second moments by parameter name, for the generator and the discriminators
     adam_g: dict[str, np.ndarray]
     adam_d: dict[str, np.ndarray]
@@ -279,7 +280,7 @@ def save_checkpoint(path, state: TrainState) -> None:
     tensors: dict[str, np.ndarray] = {}
     for name, p in state.params.items():
         tensors[f"param/{name}"] = p.data
-    for name, u in state.sn.u.items():
+    for name, u in state.sn.items():
         tensors[f"sn.u/{name}"] = u
     for tag, moments in (("adam_g", state.adam_g), ("adam_d", state.adam_d)):
         for name, v in moments.items():
@@ -298,12 +299,12 @@ def load_checkpoint(path, gen_cfg: GeneratorConfig, disc_cfg: DiscriminatorConfi
     counters of older checkpoints, are ignored."""
     tensors = ckpt.load_tensors(path, expected_digest=_architecture_digest(gen_cfg, disc_cfg))
     shapes = parameter_shapes(gen_cfg, disc_cfg)
-    params, sn = {}, SpectralNormState()
+    params, sn = {}, {}
     for name, shape in shapes.items():
         stored = _stored(tensors, f"param/{name}", shape)
         params[name] = Tensor(stored.astype(np.float32, copy=False), requires_grad=True)
         if is_spectrally_normalized(name):
-            sn.u[name] = _stored(tensors, f"sn.u/{name}", shape[:1])
+            sn[name] = _stored(tensors, f"sn.u/{name}", shape[:1])
     adam_g, adam_d = {}, {}
     for tag, moments in (("adam_g", adam_g), ("adam_d", adam_d)):
         for name, shape in shapes.items():

@@ -133,6 +133,13 @@ class TestCliSynth:
         assert proc.returncode == 2, proc.stderr
         assert "seed" in proc.stderr and "Traceback" not in proc.stderr
 
+    def test_out_under_a_file_exit_2(self, tmp_path):
+        (tmp_path / "afile").write_bytes(b"")
+        out = tmp_path / "afile" / "c"
+        proc = run_module("synth", "--out", str(out), "--files", "2")
+        assert proc.returncode == 2, proc.stderr
+        assert str(out) in proc.stderr and "Traceback" not in proc.stderr
+
 
 class TestCliTrain:
     def test_smoke_and_log_lines(self, cli_corpus, tmp_path):
@@ -179,19 +186,18 @@ class TestCliTrain:
         ("train", "[data]\nheldout_fraction = 1.5"),
         ("train", "[train]\nseed = -1"),
         ("train", "--seed -1"),
-        ("evaluate", "--seed -1"),
     ], ids=["n_heads", "odd_d_model", "channels", "group_count", "batch_size", "batch_frames",
             "lr_g", "removed_beta1", "fm_weight", "lsd_n_fft", "heldout_nan",
-            "heldout_negative", "heldout_above_one", "seed_in_file", "train_seed_option",
-            "evaluate_seed_option"])
+            "heldout_negative", "heldout_above_one", "seed_in_file", "train_seed_option"])
     def test_bad_config_value_exit_1(self, cli_corpus, tmp_path, command, text):
         # text is either the config file or, starting with "--", options
         options = text.split() if text.startswith("--") else []
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("" if options else text + "\n")
-        args = options + (["--max-steps", "2"] if command == "train" else ["--baseline"])
+        args = options + (["--max-steps", "2", "--run-dir", str(tmp_path / "run")]
+                          if command == "train" else ["--baseline"])
         proc = run_module(command, "--preset", "desk", "--config", str(cfg), "--corpus",
-                          str(cli_corpus), "--run-dir", str(tmp_path / "run"), *args)
+                          str(cli_corpus), *args)
         assert proc.returncode == 1, proc.stderr
         assert "config error:" in proc.stderr and "Traceback" not in proc.stderr
 
@@ -250,6 +256,13 @@ class TestCliUpsample:
         rc = cli.main(["upsample", "--bypass-model", str(path), str(tmp_path / "o.wav")])
         assert rc == 2
 
+    def test_unwritable_output_exit_2(self, tmp_path):
+        out = tmp_path / "nowhere" / "out.wav"
+        proc = run_module("upsample", "--bypass-model", str(self._low_rate_wav(tmp_path)),
+                          str(out))
+        assert proc.returncode == 2, proc.stderr
+        assert str(out) in proc.stderr and "Traceback" not in proc.stderr
+
     def test_needs_checkpoint_or_bypass(self, tmp_path):
         src = self._low_rate_wav(tmp_path)
         rc = cli.main(["upsample", str(src), str(tmp_path / "o.wav")])
@@ -302,6 +315,17 @@ class TestCliEvaluate:
         rc = cli.main(["evaluate", "--config", write_cfg(tmp_path),
                        "--corpus", str(cli_corpus)])
         assert rc == 1
+
+    def test_heldout_split_ignores_train_seed(self, cli_corpus, tmp_path):
+        # a model trained under any seed is scored on the files it did not train on
+        cfg_path = write_cfg(tmp_path, "\n[data]\nheldout_fraction = 0.5\n")
+        sides = [cli._load_split(load_config(cfg_path, overrides={
+            "paths.corpus": str(cli_corpus), "train.seed": seed})) for seed in (0, 7)]
+        assert [c.items for c in sides[0]] == [c.items for c in sides[1]]
+
+    def test_seed_option_removed(self, cli_corpus, tmp_path):
+        proc = run_module("evaluate", "--baseline", "--corpus", str(cli_corpus), "--seed", "7")
+        assert proc.returncode == 2 and "unrecognized arguments: --seed" in proc.stderr
 
 
 class TestCliCheck:

@@ -3,10 +3,9 @@ import pytest
 
 from upband import config, dsp, model, tensor as tt
 from upband.errors import ConfigError, ShapeError
-from upband.model import (DiscriminatorConfig, GeneratorConfig, SpectralNormState,
-                          all_discriminators_forward, discriminator_forward,
-                          discriminator_weights, generator_forward, init_parameters,
-                          parameter_shapes, spectral_normalize)
+from upband.model import (DiscriminatorConfig, GeneratorConfig, all_discriminators_forward,
+                          discriminator_forward, discriminator_weights, generator_forward,
+                          init_parameters, parameter_shapes, spectral_normalize)
 from upband.tensor import Tensor
 
 from conftest import tiny_disc_cfg, tiny_gen_cfg
@@ -71,7 +70,7 @@ class TestInit:
         params, sn = init_parameters(cfg.generator, cfg.discriminator, seed=0)
         assert list(params) == list(shapes)
         assert all(params[name].shape == shape for name, shape in shapes.items())
-        assert list(sn.u) == [n for n in shapes if n.startswith("disc") and n.endswith(".w")]
+        assert list(sn) == [n for n in shapes if n.startswith("disc") and n.endswith(".w")]
         assert not any(n.endswith("attn.bk") for n in shapes)
 
 
@@ -202,36 +201,38 @@ class TestDiscriminator:
             discriminator_forward(params, disc, Tensor(np.zeros((32, 513))), 0)
 
 
+def _unit_u(rows, rng):
+    u = rng.normal(size=rows)
+    return {"w": (u / np.linalg.norm(u)).astype(np.float32)}
+
+
 class TestSpectralNormalize:
     def test_diagonal_oracle(self):
         rng = np.random.default_rng(0)
-        state = SpectralNormState()
-        state.init("w", 2, rng)
+        sn = _unit_u(2, rng)
         w = Tensor(np.diag([3.0, 1.0]), requires_grad=True)
         with tt.no_grad():
-            out = spectral_normalize(w, state, "w", update=True)
+            out = spectral_normalize(w, sn, "w", update=True)
         np.testing.assert_allclose(out.data, np.diag([1.0, 1.0 / 3.0]), atol=1e-6)
 
     def test_unit_sigma_fixed_point(self):
         rng = np.random.default_rng(1)
         q, _ = np.linalg.qr(rng.normal(size=(8, 8)))  # orthogonal: all sigmas 1
-        state = SpectralNormState()
-        state.init("w", 8, rng)
+        sn = _unit_u(8, rng)
         w = Tensor(q, requires_grad=True)
         with tt.no_grad():
-            out = spectral_normalize(w, state, "w", update=True)
+            out = spectral_normalize(w, sn, "w", update=True)
         np.testing.assert_allclose(out.data, q, atol=1e-4)
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(7)
-        state = SpectralNormState()
-        state.init("w", 5, rng)
+        sn = _unit_u(5, rng)
         w = Tensor(rng.normal(size=(5, 4)), requires_grad=True, dtype=np.float64)
         proj = Tensor(rng.normal(size=(5, 4)), requires_grad=False, dtype=np.float64)
 
         def fn(ins):
             # update=False keeps u fixed so the function is differentiable
-            return tt.tsum(tt.mul(spectral_normalize(ins[0], state, "w", update=False),
+            return tt.tsum(tt.mul(spectral_normalize(ins[0], sn, "w", update=False),
                                   proj))
 
         err = tt.check_gradients(fn, [w], rel_tol=1e-5)

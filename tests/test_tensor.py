@@ -39,6 +39,11 @@ class TestMatmul:
         err = tt.check_gradients(lambda x: tt.tsum(tt.matmul(x[0], x[1])), ins, rel_tol=1e-6)
         assert err < 1e-6
 
+    def test_refuses_2d_times_batched(self):
+        # only a batched first operand may meet a 2-D second one
+        with pytest.raises(ShapeError):
+            tt.matmul(Tensor(np.ones((3, 4))), Tensor(np.ones((2, 4, 5))))
+
 
 # [B, T, d_in, d_out] at the widths the presets run: desk FFN and input
 # projection over 64-frame training windows, a desk key projection over
@@ -211,10 +216,6 @@ class TestElementwise:
 class TestReductions:
     def test_mean(self):
         assert tt.tmean(Tensor([1.0, 2.0, 3.0])).item() == 2.0
-
-    def test_sum_axis0(self):
-        out = tt.tsum(Tensor([[1.0, 2.0], [3.0, 4.0]]), axis=0)
-        np.testing.assert_array_equal(out.data, [4.0, 6.0])
 
     def test_mean_grad_is_one_over_n(self):
         x = t64([1.0, 5.0, -2.0, 0.5])

@@ -308,9 +308,9 @@ def _assert_matches_reference(state, ref, adam):
     assert state.params.keys() == ref.params.keys()
     for name in state.params:
         np.testing.assert_array_equal(state.params[name].data, ref.params[name].data)
-    assert state.sn.u.keys() == ref.sn.u.keys()
-    for name in state.sn.u:
-        np.testing.assert_array_equal(state.sn.u[name], ref.sn.u[name])
+    assert state.sn.keys() == ref.sn.keys()
+    for name in state.sn:
+        np.testing.assert_array_equal(state.sn[name], ref.sn[name])
     for tag in ("g", "d"):
         ours, parent = getattr(state, f"adam_{tag}"), adam[tag]
         assert ours.keys() == parent.v.keys()
@@ -410,8 +410,8 @@ class TestCheckpoint:
         assert loaded.step == state.step
         for name in state.params:
             np.testing.assert_array_equal(loaded.params[name].data, state.params[name].data)
-        for name in state.sn.u:
-            np.testing.assert_array_equal(loaded.sn.u[name], state.sn.u[name])
+        for name in state.sn:
+            np.testing.assert_array_equal(loaded.sn[name], state.sn[name])
         for tag in ("adam_g", "adam_d"):
             a, b = getattr(state, tag), getattr(loaded, tag)
             assert a and a.keys() == b.keys()
