@@ -42,7 +42,7 @@ def _collect_overrides(args) -> dict:
 def _load_split(cfg: RunConfig):
     """Train and held-out sides of the corpus. The shuffle's seed is fixed, so
     the held-out set depends only on the corpus and ``[data]``, not on the
-    train seed: a model is never scored on files it trained on."""
+    train seed: under the same ``[data]``, evaluate scores no training file."""
     corpus_dir = Path(cfg.paths.corpus)
     manifest = corpus_dir / "manifest.txt"
     if not corpus_dir.is_dir() or not manifest.exists():
