@@ -66,14 +66,16 @@ def cmd_train(args) -> int:
     train_corpus, heldout = _load_split(cfg)
     examples = data.load_examples(train_corpus, exclude=heldout)
     final = training.train_loop(examples, cfg.generator, cfg.discriminator, cfg.train,
-                                run_dir, resume_from=args.resume)
+                                run_dir, resume_from=args.resume,
+                                train_files=train_corpus.items)
     print(f"final checkpoint: {final}")
     return 0
 
 
-def _load_model_fn(checkpoint: str, cfg: RunConfig):
+def _load_model(checkpoint: str, cfg: RunConfig):
+    """A checkpoint's generator function and the file names it trained on."""
     state = training.load_checkpoint(checkpoint, cfg.generator, cfg.discriminator, cfg.train)
-    return model.make_generator_fn(state.params, cfg.generator)
+    return model.make_generator_fn(state.params, cfg.generator), state.train_files
 
 
 def cmd_upsample(args) -> int:
@@ -84,7 +86,7 @@ def cmd_upsample(args) -> int:
         raise DataError(f"upsample: expected 22050 Hz input, got {audio.sample_rate} Hz")
     if not args.bypass_model and args.checkpoint is None:
         raise ConfigError("upsample: need --checkpoint or --bypass-model")
-    model_fn = None if args.bypass_model else _load_model_fn(args.checkpoint, cfg)
+    model_fn = None if args.bypass_model else _load_model(args.checkpoint, cfg)[0]
     out = upsample_buffer(audio, model_fn)
     data.write_wav(args.output, out)
     print(f"wrote {args.output}: {len(out)} samples at {out.sample_rate} Hz")
@@ -97,9 +99,12 @@ def cmd_evaluate(args) -> int:
     train_corpus, heldout = _load_split(cfg)
     if not args.baseline and args.checkpoint is None:
         raise ConfigError("evaluate: need --checkpoint or --baseline")
-    model_fn = None if args.baseline else _load_model_fn(args.checkpoint, cfg)
+    model_fn, trained_on = (None, ()) if args.baseline else _load_model(args.checkpoint, cfg)
+    # the checkpoint's training files count under this corpus root, whatever
+    # [data] split them when it trained
+    train_files = train_corpus.paths() + [heldout.root / name for name in trained_on]
     report = metrics.evaluate_corpus(model_fn, heldout.paths(), data.read_wav, cfg.lsd,
-                                     train_files=train_corpus.paths())
+                                     train_files=train_files)
     label = "baseline" if args.baseline else "model"
     print(report.as_table(label))
     print(report.as_kv())

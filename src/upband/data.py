@@ -137,8 +137,8 @@ def make_pair(high: AudioBuffer, source: str = "") -> TrainingExample:
     truth = AudioBuffer(high.samples[:n_even], high.sample_rate)
     interp = dsp.sinc_upsample(dsp.downsample(truth, 2), 2)
 
-    low = dsp.to_log_magnitude(np.abs(dsp.stft(interp)))[:, :LOW_BINS]
-    high_bins = dsp.to_log_magnitude(np.abs(dsp.stft(truth)))[:, LOW_BINS:]
+    low = dsp.to_log_magnitude(np.abs(dsp.stft(interp)[:, :LOW_BINS]))
+    high_bins = dsp.to_log_magnitude(np.abs(dsp.stft(truth)[:, LOW_BINS:]))
 
     if not (np.all(np.isfinite(low)) and np.all(np.isfinite(high_bins))):
         raise DataError(f"make_pair: non-finite spectrogram values from {source or 'input'}")

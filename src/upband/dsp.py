@@ -2,8 +2,8 @@
 
 Covers the signal path around the model: windowed-sinc upsampling and
 anti-aliased decimation, centered STFT / least-squares iSTFT, log
-magnitudes, and full-band reconstruction that reuses the interpolated
-signal's phase.
+magnitudes, and full-band reconstruction that rescales the interpolated
+signal's complex spectrum, keeping its phase.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import next_fast_len
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DataError, ShapeError
 
@@ -104,6 +104,22 @@ def sinc_upsample(audio: AudioBuffer, factor: int) -> AudioBuffer:
     return AudioBuffer(y, audio.sample_rate * factor)
 
 
+def _fft_size(n: int) -> int:
+    """Smallest 2^a * 3^b * 5^c >= n, a length numpy's FFT handles quickly."""
+    best = 1 << max(n - 1, 0).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            q = p35
+            while q < n:
+                q *= 2
+            best = min(best, q)
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def downsample(audio: AudioBuffer, factor: int) -> AudioBuffer:
     """Anti-aliased decimation; trims the tail to a multiple of factor.
 
@@ -120,8 +136,10 @@ def downsample(audio: AudioBuffer, factor: int) -> AudioBuffer:
     x = x[:n]
     h = _windowed_sinc(0.5 / factor, DECIMATOR_TAPS)
     delay = (len(h) - 1) // 2
-    size = next_fast_len(n + len(h) - 1, real=True)  # no circular wrap into the kept samples
-    y = np.fft.irfft(np.fft.rfft(x, size) * np.fft.rfft(h, size), size)[delay:delay + n]
+    size = _fft_size(n + len(h) - 1)  # no circular wrap into the kept samples
+    spectrum = np.fft.rfft(x, size)
+    spectrum *= np.fft.rfft(h, size)
+    y = np.fft.irfft(spectrum, size)[delay:delay + n]
     return AudioBuffer(y[::factor], audio.sample_rate // factor)
 
 
@@ -133,10 +151,7 @@ def stft(audio: AudioBuffer, n_fft: int = N_FFT, hop: int = HOP) -> np.ndarray:
         raise DataError(f"stft: audio length {len(x)} shorter than n_fft {n_fft}")
     pad = n_fft // 2
     xp = np.pad(x, (pad, pad), mode="reflect")
-    n_frames = 1 + (len(xp) - n_fft) // hop
-    window = _hann_periodic(n_fft)
-    idx = np.arange(n_fft)[None, :] + hop * np.arange(n_frames)[:, None]
-    frames = xp[idx] * window
+    frames = sliding_window_view(xp, n_fft)[::hop] * _hann_periodic(n_fft)
     return np.fft.rfft(frames, axis=1)
 
 
@@ -155,7 +170,9 @@ def istft(spec: np.ndarray, hop: int = HOP) -> np.ndarray:
     # overlap-add in hop-long blocks: block j of frame t lands on segment
     # t + j, and adding the last block first sums every segment in frame order
     n_frames, blocks = spec.shape[0], n_fft // hop
-    frames = (np.fft.irfft(spec, n=n_fft, axis=1) * window).reshape(n_frames, blocks, hop)
+    frames = np.fft.irfft(spec, n=n_fft, axis=1)
+    frames *= window
+    frames = frames.reshape(n_frames, blocks, hop)
     wsq_blocks = wsq.reshape(blocks, hop)
     y = np.zeros((n_frames + blocks - 1, hop))
     norm = np.zeros_like(y)
@@ -163,34 +180,53 @@ def istft(spec: np.ndarray, hop: int = HOP) -> np.ndarray:
         y[j:j + n_frames] += frames[:, j]
         norm[j:j + n_frames] += wsq_blocks[j]
     y, norm = y.reshape(-1), norm.reshape(-1)
-    good = norm > 1e-10
-    y[good] /= norm[good]
+    np.divide(y, norm, out=y, where=norm > 1e-10)
     pad = n_fft // 2
     return y[pad:len(y) - pad]
 
 
 def to_log_magnitude(magnitude: np.ndarray) -> np.ndarray:
     """Natural-log magnitudes, floored at LOG_MAG_FLOOR before the log."""
-    return np.log(np.maximum(magnitude, LOG_MAG_FLOOR))
+    out = np.maximum(magnitude, LOG_MAG_FLOOR)
+    return np.log(out, out=out)
 
 
-def reconstruct_full(low: np.ndarray, high: np.ndarray, phase: np.ndarray,
-                     sample_rate: int) -> AudioBuffer:
-    """Concatenate low [T, LOW_BINS] and predicted high [T, HIGH_BINS] log
-    magnitudes, apply the given phase [T, N_BINS] in radians, iSTFT.
+def _full_spectrum(spec: np.ndarray, high: np.ndarray) -> np.ndarray:
+    """``spec`` with each bin scaled to the magnitude ``reconstruct_full``
+    gives it. Its temporaries are freed when it returns, so ``istft`` can
+    reuse their memory instead of faulting in fresh pages."""
+    magnitude = np.abs(spec)
+    # target over current magnitude; a silent bin keeps its target, at phase 0
+    scale = np.empty_like(magnitude)
+    np.maximum(magnitude[:, :LOW_BINS], LOG_MAG_FLOOR, out=scale[:, :LOW_BINS])
+    np.exp(high, out=scale[:, LOW_BINS:])
+    silent = magnitude == 0.0
+    np.divide(scale, magnitude, out=scale, where=~silent)
+    full = spec * scale
+    full[silent] = scale[silent]
+    return full
+
+
+def reconstruct_full(spec: np.ndarray, high: np.ndarray, sample_rate: int) -> AudioBuffer:
+    """Full-band waveform from the interpolated signal's complex spectrum
+    ``spec`` [T, N_BINS] and predicted upper log magnitudes ``high``
+    [T, HIGH_BINS].
+
+    Every bin keeps the phase of ``spec``. The lower LOW_BINS bins keep its
+    magnitude, floored at LOG_MAG_FLOOR; the upper bins take ``exp(high)``.
+    A bin where ``spec`` is 0 takes phase 0. The result goes through
+    ``istft``.
 
     Output is clamped to [-1, 1]; any clipping is reported via the module
     logger rather than silently discarded.
     """
-    if low.shape[0] != high.shape[0] or low.shape[0] != phase.shape[0]:
+    if spec.shape[0] != high.shape[0]:
         raise ShapeError(f"reconstruct_full: frame counts differ "
-                         f"(low {low.shape[0]}, high {high.shape[0]}, phase {phase.shape[0]})")
-    full_bins = low.shape[1] + high.shape[1]
-    if full_bins != N_BINS or phase.shape[1] != full_bins:
-        raise ShapeError(f"reconstruct_full: bin split {low.shape[1]}+{high.shape[1]} must equal "
-                         f"{N_BINS} and match phase bins {phase.shape[1]}")
-    magnitude = np.exp(np.concatenate([low, high], axis=1))
-    samples = istft(magnitude * np.exp(1j * phase))
+                         f"(spec {spec.shape[0]}, high {high.shape[0]})")
+    if spec.shape[1] != N_BINS or high.shape[1] != HIGH_BINS:
+        raise ShapeError(f"reconstruct_full: need {N_BINS} spectrum bins and {HIGH_BINS} "
+                         f"predicted bins, got {spec.shape[1]} and {high.shape[1]}")
+    samples = istft(_full_spectrum(spec, high))
     clipped = int(np.sum(np.abs(samples) > 1.0))
     if clipped:
         log.warning("reconstruct_full: clamped %d samples outside [-1, 1]", clipped)

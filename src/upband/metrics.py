@@ -28,8 +28,10 @@ class LsdConfig:
 
 
 def _log_power(audio: AudioBuffer, cfg: LsdConfig) -> np.ndarray:
-    power = np.abs(stft(audio, n_fft=cfg.n_fft, hop=cfg.hop)) ** 2
-    return np.log10(np.maximum(power, POWER_FLOOR))
+    power = np.abs(stft(audio, n_fft=cfg.n_fft, hop=cfg.hop))
+    np.square(power, out=power)
+    np.maximum(power, POWER_FLOOR, out=power)
+    return np.log10(power, out=power)
 
 
 def _aligned(reference: AudioBuffer, approx: AudioBuffer) -> tuple[AudioBuffer, AudioBuffer]:
@@ -44,7 +46,9 @@ def lsd(reference: AudioBuffer, approx: AudioBuffer, cfg: LsdConfig = LsdConfig(
     reference, approx = _aligned(reference, approx)
     x = _log_power(reference, cfg)
     y = _log_power(approx, cfg)
-    per_frame = np.sqrt(np.mean((x - y) ** 2, axis=1))
+    x -= y
+    np.square(x, out=x)
+    per_frame = np.sqrt(np.mean(x, axis=1))
     return float(np.mean(per_frame))
 
 

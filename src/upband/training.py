@@ -144,6 +144,8 @@ class TrainState:
     train_cfg: TrainConfig
     rng: np.random.Generator
     step: int = 0
+    # corpus-relative names of the files trained on, kept across resumes
+    train_files: tuple[str, ...] = ()
 
     @classmethod
     def fresh(cls, gen_cfg, disc_cfg, train_cfg) -> "TrainState":
@@ -288,6 +290,9 @@ def save_checkpoint(path, state: TrainState) -> None:
     tensors["step"] = np.array(state.step, dtype=np.int64)
     rng_state = json.dumps(state.rng.bit_generator.state).encode("utf-8")
     tensors["rng"] = np.frombuffer(rng_state, dtype=np.uint8)
+    if state.train_files:
+        names = "\n".join(state.train_files).encode("utf-8")
+        tensors["train_files"] = np.frombuffer(names, dtype=np.uint8)
     ckpt.save_tensors(path, tensors, _architecture_digest(state.gen_cfg, state.disc_cfg))
 
 
@@ -296,7 +301,8 @@ def load_checkpoint(path, gen_cfg: GeneratorConfig, disc_cfg: DiscriminatorConfi
     """Read a training state back. Every declared parameter and u vector must
     be stored in its declared shape; tensors the declaration does not name,
     such as the ``attn.bk`` key biases and the Adam first moments and step
-    counters of older checkpoints, are ignored."""
+    counters of older checkpoints, are ignored. A checkpoint without a
+    ``train_files`` record loads with no training file names."""
     tensors = ckpt.load_tensors(path, expected_digest=_architecture_digest(gen_cfg, disc_cfg))
     shapes = parameter_shapes(gen_cfg, disc_cfg)
     params, sn = {}, {}
@@ -319,16 +325,25 @@ def load_checkpoint(path, gen_cfg: GeneratorConfig, disc_cfg: DiscriminatorConfi
         rng.bit_generator.state = json.loads(bytes(_stored(tensors, "rng")).decode("utf-8"))
     except (ValueError, TypeError, KeyError, OverflowError) as exc:
         raise CheckpointError(f"checkpoint: tensor 'rng' is not a PCG64 state: {exc}") from exc
+    train_files = ()
+    if "train_files" in tensors:
+        try:
+            train_files = tuple(bytes(tensors["train_files"]).decode("utf-8").split("\n"))
+        except UnicodeDecodeError as exc:
+            raise CheckpointError(f"checkpoint: tensor 'train_files' is not UTF-8: {exc}") from exc
     return TrainState(params=params, sn=sn, adam_g=adam_g, adam_d=adam_d, gen_cfg=gen_cfg,
-                      disc_cfg=disc_cfg, train_cfg=train_cfg, rng=rng, step=int(step[0]))
+                      disc_cfg=disc_cfg, train_cfg=train_cfg, rng=rng, step=int(step[0]),
+                      train_files=train_files)
 
 
 def train_loop(dataset, gen_cfg: GeneratorConfig, disc_cfg: DiscriminatorConfig,
-               train_cfg: TrainConfig, run_dir, resume_from=None) -> Path:
+               train_cfg: TrainConfig, run_dir, resume_from=None, train_files=()) -> Path:
     """Run the loop to ``max_steps``; returns the final checkpoint path.
 
     Writes ``loss.log`` (one tab-separated line per step) and periodic
-    checkpoints into ``run_dir``.
+    checkpoints into ``run_dir``. Every checkpoint records ``train_files``,
+    the corpus-relative names of the dataset's files, after those a resumed
+    checkpoint already holds.
     """
     if not dataset:
         raise DataError("train_loop: dataset is empty")
@@ -338,6 +353,7 @@ def train_loop(dataset, gen_cfg: GeneratorConfig, disc_cfg: DiscriminatorConfig,
         state = load_checkpoint(resume_from, gen_cfg, disc_cfg, train_cfg)
     else:
         state = TrainState.fresh(gen_cfg, disc_cfg, train_cfg)
+    state.train_files = tuple(dict.fromkeys((*state.train_files, *train_files)))
     log_path = run_dir / "loss.log"
     final_path = run_dir / "checkpoint_final.nug"
     with open(log_path, "a") as log_file:

@@ -270,7 +270,7 @@ class TestCliUpsample:
 
     @pytest.mark.parametrize("damage", ["missing", "wrong_shape", "name_not_utf8",
                                         "rng_not_utf8", "rng_not_pcg64", "step_empty",
-                                        "step_negative"])
+                                        "step_negative", "train_files_not_utf8"])
     def test_damaged_checkpoint_exit_2(self, tmp_path, capsys, damage):
         cfg_path = write_cfg(tmp_path)
         cfg = load_config(cfg_path)
@@ -290,6 +290,9 @@ class TestCliUpsample:
         elif damage.startswith("step"):
             step = np.zeros(0) if damage == "step_empty" else np.array(-1)
             tensors["step"], named = step.astype(np.int64), "'step'"
+        elif damage == "train_files_not_utf8":
+            tensors["train_files"] = np.frombuffer(b"a.wav\n\xff", dtype=np.uint8)
+            named = "'train_files'"
         checkpoint.save_tensors(ck, tensors, digest)
         if damage == "name_not_utf8":
             blob = ck.read_bytes()
@@ -322,6 +325,23 @@ class TestCliEvaluate:
         sides = [cli._load_split(load_config(cfg_path, overrides={
             "paths.corpus": str(cli_corpus), "train.seed": seed})) for seed in (0, 7)]
         assert [c.items for c in sides[0]] == [c.items for c in sides[1]]
+
+    def test_files_trained_under_another_split_refused(self, cli_corpus, tmp_path, capsys):
+        # trained with one of six files held out, scored with three held out:
+        # at least two of those three are training files
+        train_cfg = write_cfg(tmp_path, "\n[data]\nheldout_fraction = 0.1667\n")
+        run = tmp_path / "run"
+        assert cli.main(["train", "--config", train_cfg, "--corpus", str(cli_corpus),
+                         "--run-dir", str(run), "--max-steps", "1"]) == 0
+        trained = cli._load_split(load_config(train_cfg, overrides={
+            "paths.corpus": str(cli_corpus)}))[0].items
+        eval_cfg = write_cfg(tmp_path, "\n[data]\nheldout_fraction = 0.5\n")
+        capsys.readouterr()
+        rc = cli.main(["evaluate", "--config", eval_cfg, "--corpus", str(cli_corpus),
+                       "--checkpoint", str(run / "checkpoint_final.nug")])
+        err = capsys.readouterr().err
+        assert rc == 2 and "training set" in err
+        assert any(name in err for name in trained)
 
     def test_seed_option_removed(self, cli_corpus, tmp_path):
         proc = run_module("evaluate", "--baseline", "--corpus", str(cli_corpus), "--seed", "7")

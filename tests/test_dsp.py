@@ -71,6 +71,11 @@ class TestDownsample:
         residual = np.max(np.abs(down.samples[2000:-2000]))
         assert 20 * np.log10(residual / 0.5) < -40.0
 
+    def test_fft_size_is_next_fast_real_length(self):
+        next_fast_len = pytest.importorskip("scipy.fft").next_fast_len
+        sizes = range(1, 120_000)
+        assert [dsp._fft_size(n) for n in sizes] == [next_fast_len(n, real=True) for n in sizes]
+
 
 class TestStft:
     def test_bin_count(self):
@@ -99,6 +104,22 @@ class TestStft:
     def test_too_short(self):
         with pytest.raises(DataError):
             stft(AudioBuffer(np.zeros(512), 44100))
+
+    @staticmethod
+    def _gathered(x, n_fft, hop):
+        """Reference: frames gathered from the padded signal by an index array."""
+        xp = np.pad(x, n_fft // 2, mode="reflect")
+        n_frames = 1 + (len(xp) - n_fft) // hop
+        idx = np.arange(n_fft)[None, :] + hop * np.arange(n_frames)[:, None]
+        return np.fft.rfft(xp[idx] * dsp._hann_periodic(n_fft), axis=1)
+
+    @pytest.mark.parametrize("n_fft,hop", [(1024, 256), (2048, 512)])
+    @pytest.mark.parametrize("extra", [0, 1, 100, 511, 1536, 12345])
+    def test_bytes_match_gathered_frames(self, n_fft, hop, extra):
+        # exactly one frame, whole hops (1536), and partial last hops
+        x = np.random.default_rng(extra).normal(size=n_fft + extra)
+        spec = stft(AudioBuffer(x, 44100), n_fft, hop)
+        assert spec.tobytes() == self._gathered(x, n_fft, hop).tobytes()
 
 
 class TestIstft:
@@ -159,10 +180,33 @@ class TestReconstructFull:
     def test_all_true_inputs_is_near_identity(self):
         truth = _synthetic_truth()
         spec = stft(truth)
-        logm = to_log_magnitude(np.abs(spec))
-        out = reconstruct_full(logm[:, :257], logm[:, 257:], np.angle(spec), 44100)
+        out = reconstruct_full(spec, to_log_magnitude(np.abs(spec[:, 257:])), 44100)
         ref = AudioBuffer(truth.samples[:len(out)], 44100)
         assert metrics.lsd(ref, out) < 0.1
+
+    def test_own_magnitudes_invert_the_spectrum(self):
+        noise = np.random.default_rng(6).normal(scale=0.1, size=44100)
+        spec = stft(AudioBuffer(noise, 44100))
+        assert np.min(np.abs(spec)) > dsp.LOG_MAG_FLOOR  # no bin is floored
+        out = reconstruct_full(spec, np.log(np.abs(spec[:, 257:])), 44100)
+        np.testing.assert_allclose(out.samples, istft(spec), rtol=0, atol=1e-12)
+
+    def test_matches_log_magnitude_and_angle_formula(self):
+        # the spectrum's log magnitudes and np.angle phases, recombined; the
+        # zeroed bins (np.angle 0 -> phase 0) take the floor or exp(high)
+        spec = stft(_synthetic_truth(seconds=0.3))
+        spec[::3, ::7] = 0.0
+        high = np.random.default_rng(2).uniform(-12.0, -2.0, size=(len(spec), 256))
+        low = to_log_magnitude(np.abs(spec))[:, :257]
+        expected = istft(np.exp(np.concatenate([low, high], axis=1)) * np.exp(1j * np.angle(spec)))
+        out = reconstruct_full(spec, high, 44100)
+        np.testing.assert_allclose(out.samples, expected, rtol=0, atol=1e-15)
+
+    def test_zero_spectrum_takes_floor_and_prediction_at_phase_zero(self):
+        high = np.random.default_rng(4).uniform(-6.0, -3.0, size=(12, 256))
+        out = reconstruct_full(np.zeros((12, 513), dtype=complex), high, 44100)
+        target = np.concatenate([np.full((12, 257), dsp.LOG_MAG_FLOOR), np.exp(high)], axis=1)
+        np.testing.assert_allclose(out.samples, istft(target.astype(complex)), rtol=0, atol=1e-15)
 
     def test_floored_high_bins_equal_interpolation(self):
         # multitone kept below 10.5 kHz so the interpolated signal really is
@@ -174,10 +218,8 @@ class TestReconstructFull:
             x += 0.1 * np.sin(2 * np.pi * f * t)
         interp = sinc_upsample(downsample(AudioBuffer(x, sr), 2), 2)
         spec = stft(interp)
-        logm = to_log_magnitude(np.abs(spec))
-        T = logm.shape[0]
-        floor_high = np.full((T, 256), np.log(1e-5))
-        out = reconstruct_full(logm[:, :257], floor_high, np.angle(spec), sr)
+        floor_high = np.full((len(spec), 256), np.log(1e-5))
+        out = reconstruct_full(spec, floor_high, sr)
         n = min(len(out), len(interp))
         c = slice(2048, n - 2048)
         err = np.linalg.norm(out.samples[c] - interp.samples[c]) / \
@@ -185,22 +227,19 @@ class TestReconstructFull:
         assert err < 1e-3
 
     def test_output_length(self):
-        truth = _synthetic_truth(seconds=0.3)
-        spec = stft(truth)
-        logm = to_log_magnitude(np.abs(spec))
-        T = logm.shape[0]
-        out = reconstruct_full(logm[:, :257], logm[:, 257:], np.angle(spec), 44100)
-        assert len(out) == (T - 1) * 256
+        spec = stft(_synthetic_truth(seconds=0.3))
+        out = reconstruct_full(spec, to_log_magnitude(np.abs(spec[:, 257:])), 44100)
+        assert len(out) == (len(spec) - 1) * 256
 
     def test_frame_mismatch_rejected(self):
         with pytest.raises(ShapeError):
-            reconstruct_full(np.zeros((4, 257)), np.zeros((5, 256)), np.zeros((4, 513)),
-                             44100)
+            reconstruct_full(np.zeros((4, 513), dtype=complex), np.zeros((5, 256)), 44100)
 
     def test_bin_split_rejected(self):
-        with pytest.raises(ShapeError):
-            reconstruct_full(np.zeros((4, 250)), np.zeros((4, 256)), np.zeros((4, 506)),
-                             44100)
+        for spec_bins, high_bins in ((506, 256), (513, 250), (520, 263)):
+            with pytest.raises(ShapeError):
+                reconstruct_full(np.zeros((4, spec_bins), dtype=complex),
+                                 np.zeros((4, high_bins)), 44100)
 
 
 class TestInvariants:

@@ -601,3 +601,25 @@ class TestTrainLoop:
     def test_empty_dataset_rejected(self, tmp_path):
         with pytest.raises(Exception):
             train_loop([], tiny_gen_cfg(), tiny_disc_cfg(), TrainConfig(), tmp_path)
+
+    def test_train_files_recorded_and_kept_across_resume(self, small_examples, tmp_path):
+        gen, disc = tiny_gen_cfg(), tiny_disc_cfg()
+        cfg = TrainConfig(batch_size=1, batch_frames=16, max_steps=1, seed=0,
+                          checkpoint_interval=0)
+        part = train_loop(small_examples, gen, disc, cfg, tmp_path / "a",
+                          train_files=["b.wav", "a/é.wav"])
+        assert load_checkpoint(part, gen, disc, cfg).train_files == ("b.wav", "a/é.wav")
+        cfg2 = TrainConfig(batch_size=1, batch_frames=16, max_steps=2, seed=0,
+                           checkpoint_interval=0)
+        final = train_loop(small_examples, gen, disc, cfg2, tmp_path / "b", resume_from=part,
+                           train_files=["c.wav", "b.wav"])
+        assert load_checkpoint(final, gen, disc, cfg2).train_files == \
+            ("b.wav", "a/é.wav", "c.wav")
+
+    def test_checkpoint_without_train_files_loads(self, small_examples, tmp_path):
+        # no names given: no record written, as in checkpoints from before it existed
+        cfg = TrainConfig(batch_size=1, batch_frames=16, max_steps=1, seed=0,
+                          checkpoint_interval=0)
+        final = train_loop(small_examples, tiny_gen_cfg(), tiny_disc_cfg(), cfg, tmp_path)
+        assert "train_files" not in checkpoint.load_tensors(final)
+        assert load_checkpoint(final, tiny_gen_cfg(), tiny_disc_cfg(), cfg).train_files == ()
