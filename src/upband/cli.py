@@ -26,17 +26,11 @@ def _echo(cfg: RunConfig, run_dir: Path | None = None) -> None:
         (run_dir / "config_effective.cfg").write_text(text, encoding="utf-8")
 
 
-def _collect_overrides(args) -> dict:
-    overrides = {}
-    if getattr(args, "max_steps", None) is not None:
-        overrides["train.max_steps"] = args.max_steps
-    if getattr(args, "seed", None) is not None:
-        overrides["train.seed"] = args.seed
-    if getattr(args, "corpus", None):
-        overrides["paths.corpus"] = args.corpus
-    if getattr(args, "run_dir", None):
-        overrides["paths.run_dir"] = args.run_dir
-    return overrides
+def _config(args) -> RunConfig:
+    """The run's configuration: every option whose ``dest`` is a dotted config
+    key and that was given overrides the preset and ``--config`` file."""
+    return load_config(args.config, preset=args.preset, overrides={
+        k: v for k, v in vars(args).items() if "." in k and v is not None})
 
 
 def _load_split(cfg: RunConfig):
@@ -60,7 +54,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg = load_config(args.config, preset=args.preset, overrides=_collect_overrides(args))
+    cfg = _config(args)
     run_dir = Path(cfg.paths.run_dir)
     _echo(cfg, run_dir)
     train_corpus, heldout = _load_split(cfg)
@@ -79,7 +73,7 @@ def _load_model(checkpoint: str, cfg: RunConfig):
 
 
 def cmd_upsample(args) -> int:
-    cfg = load_config(args.config, preset=args.preset)
+    cfg = _config(args)
     _echo(cfg)
     audio = data.read_wav(args.input)
     if audio.sample_rate != 22050:
@@ -94,7 +88,7 @@ def cmd_upsample(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    cfg = load_config(args.config, preset=args.preset, overrides=_collect_overrides(args))
+    cfg = _config(args)
     _echo(cfg)
     train_corpus, heldout = _load_split(cfg)
     if not args.baseline and args.checkpoint is None:
@@ -143,10 +137,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="adversarial training")
     common(p)
-    p.add_argument("--max-steps", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--corpus", default=None)
-    p.add_argument("--run-dir", default=None)
+    p.add_argument("--max-steps", type=int, dest="train.max_steps")
+    p.add_argument("--seed", type=int, dest="train.seed")
+    p.add_argument("--corpus", dest="paths.corpus")
+    p.add_argument("--run-dir", dest="paths.run_dir")
     p.add_argument("--resume", default=None, help="checkpoint to resume from")
     p.set_defaults(fn=cmd_train)
 
@@ -161,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("evaluate", help="LSD/SNR report on the held-out split")
     common(p)
-    p.add_argument("--corpus", default=None)
+    p.add_argument("--corpus", dest="paths.corpus")
     p.add_argument("--checkpoint", default=None)
     p.add_argument("--baseline", action="store_true")
     p.set_defaults(fn=cmd_evaluate)

@@ -45,25 +45,22 @@ class RunConfig:
     data: DataConfig = field(default_factory=DataConfig)
 
 
-_SECTIONS = {
-    "train": TrainConfig,
-    "generator": GeneratorConfig,
-    "discriminator": DiscriminatorConfig,
-    "lsd": LsdConfig,
-    "paths": PathsConfig,
-    "data": DataConfig,
-}
-
 # reduced widths for CPU-scale experiments; 128 channels forces the top
 # group count down from 256 (divisibility); max_frames follows batch_frames
-DESK_PRESET = {
-    "generator": {"d_model": 128, "n_heads": 4, "d_ff": 512, "max_frames": 64},
-    "discriminator": {"channels": 128, "group_counts": (1, 4, 16, 64, 128)},
-    "train": {"batch_size": 4, "batch_frames": 64},
+PRESETS = {
+    "default": {},
+    "desk": {
+        "generator": {"d_model": 128, "n_heads": 4, "d_ff": 512, "max_frames": 64},
+        "discriminator": {"channels": 128, "group_counts": (1, 4, 16, 64, 128)},
+        "train": {"batch_size": 4, "batch_frames": 64},
+    },
 }
 
 
-def _coerce(raw: str, current):
+def _coerce(raw, current):
+    """``raw`` as the type of ``current`` when it is a string, else as is."""
+    if not isinstance(raw, str):
+        return raw
     if isinstance(current, int):
         return int(raw)
     if isinstance(current, float):
@@ -73,67 +70,56 @@ def _coerce(raw: str, current):
     return raw
 
 
-def apply_preset(cfg: RunConfig, preset: str) -> RunConfig:
-    if preset == "default":
-        return cfg
-    if preset != "desk":
-        raise ConfigError(f"unknown preset {preset!r} (available: default, desk)")
-    for section, values in DESK_PRESET.items():
+def _apply(cfg: RunConfig, layer: dict, where: str) -> RunConfig:
+    """Set every ``{section: {key: value}}`` of ``layer`` on ``cfg``; a string
+    takes the type of the value it replaces. ``where`` names the layer in errors."""
+    sections = [f.name for f in fields(RunConfig)]
+    for section, values in layer.items():
+        if section not in sections:
+            raise ConfigError(f"{where}: unknown section [{section}] "
+                              f"(known: {', '.join(sections)})")
         sub = getattr(cfg, section)
-        replaced = dataclasses.replace(sub, **values)
-        setattr(cfg, section, replaced)
+        known = {f.name for f in fields(sub)}
+        updates = {}
+        for key, value in values.items():
+            if key not in known:
+                raise ConfigError(f"{where}: unknown key {key!r} in [{section}] "
+                                  f"(known: {', '.join(sorted(known))})")
+            try:
+                updates[key] = _coerce(value, getattr(sub, key))
+            except ValueError as exc:
+                raise ConfigError(f"{where}: bad value for {section}.{key}: {exc}") from exc
+        setattr(cfg, section, dataclasses.replace(sub, **updates))
     return cfg
 
 
 def load_config(path, preset: str = "default", overrides: dict | None = None) -> RunConfig:
-    """Build a RunConfig from defaults, preset, optional file, and CLI overrides,
-    in that order of increasing precedence."""
-    cfg = RunConfig()
-    cfg = apply_preset(cfg, preset)
+    """Build a RunConfig from defaults, preset, optional file, and dotted
+    ``section.key`` overrides, in that order of increasing precedence. File
+    values are literal: no ``%`` interpolation."""
+    if preset not in PRESETS:
+        raise ConfigError(f"unknown preset {preset!r} (available: {', '.join(PRESETS)})")
+    cfg = _apply(RunConfig(), PRESETS[preset], f"preset {preset}")
     if path is not None:
-        path = Path(path)
-        if not path.exists():
-            raise ConfigError(f"config file not found: {path}")
-        parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
+        parser = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None)
         try:
-            parser.read_string(path.read_text(encoding="utf-8"), source=str(path))
-        except configparser.Error as exc:
-            raise ConfigError(f"cannot parse {path}: {exc}") from exc
-        for section in parser.sections():
-            if section not in _SECTIONS:
-                raise ConfigError(f"{path}: unknown section [{section}] "
-                                  f"(known: {', '.join(_SECTIONS)})")
-            sub = getattr(cfg, section)
-            known = {f.name for f in fields(sub)}
-            updates = {}
-            for key, raw in parser.items(section):
-                if key not in known:
-                    raise ConfigError(f"{path}: unknown key {key!r} in [{section}] "
-                                      f"(known: {', '.join(sorted(known))})")
-                try:
-                    updates[key] = _coerce(raw, getattr(sub, key))
-                except ValueError as exc:
-                    raise ConfigError(f"{path}: bad value for {section}.{key}: {exc}") from exc
-            setattr(cfg, section, dataclasses.replace(sub, **updates))
+            parser.read_string(Path(path).read_text(encoding="utf-8"), source=str(path))
+        except (OSError, UnicodeDecodeError, configparser.Error) as exc:
+            raise ConfigError(f"cannot read {path}: {exc}") from exc
+        _apply(cfg, {s: dict(parser.items(s)) for s in parser.sections()}, str(path))
+    layer: dict[str, dict] = {}
     for dotted, value in (overrides or {}).items():
         section, _, key = dotted.partition(".")
-        if section not in _SECTIONS:
-            raise ConfigError(f"override {dotted!r}: unknown section {section!r}")
-        sub = getattr(cfg, section)
-        if key not in {f.name for f in fields(sub)}:
-            raise ConfigError(f"override {dotted!r}: unknown key {key!r}")
-        if isinstance(value, str):
-            value = _coerce(value, getattr(sub, key))
-        setattr(cfg, section, dataclasses.replace(sub, **{key: value}))
-    return cfg
+        layer.setdefault(section, {})[key] = value
+    return _apply(cfg, layer, "override")
 
 
 def render_config(cfg: RunConfig) -> str:
     """Serialize the effective configuration back to the file format."""
     out = []
-    for section in _SECTIONS:
-        out.append(f"[{section}]")
-        sub = getattr(cfg, section)
+    for section in fields(RunConfig):
+        out.append(f"[{section.name}]")
+        sub = getattr(cfg, section.name)
         for f in fields(sub):
             value = getattr(sub, f.name)
             if isinstance(value, tuple):

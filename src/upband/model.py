@@ -8,11 +8,12 @@ number of groups so it specializes on a different frequency granularity.
 ``discriminator_weights`` normalizes their weights once per weight state,
 and the discriminator forwards take the dict it returns.
 
-The paper-level constants (6 transformer layers, group counts 1/4/16/64/256,
-kernel 4 stride 2) live in the config defaults, as do the widths the source
-material leaves open. What it also leaves open is fixed in code to the
-canonical transformer choices: pre-norm residual blocks, GELU feed-forward
-layers and leaky-ReLU discriminator activations.
+The paper-level constants (6 transformer layers, group counts 1/4/16/64/256)
+live in the config defaults, as do the widths the source material leaves
+open. The grouped convolutions' kernel 4 and stride 2 are the constants
+``KERNEL`` and ``STRIDE``. What the source also leaves open is fixed in code
+to the canonical transformer choices: pre-norm residual blocks, GELU
+feed-forward layers and leaky-ReLU discriminator activations.
 """
 
 from __future__ import annotations
@@ -28,6 +29,10 @@ from .errors import ConfigError, ShapeError, require_positive
 from .tensor import Tensor
 
 LEAKY_SLOPE = 0.2
+# every grouped discriminator convolution; with its padding of 1 each one
+# halves an even frame count
+KERNEL = 4
+STRIDE = 2
 
 
 @dataclass
@@ -54,14 +59,11 @@ class DiscriminatorConfig:
     group_counts: tuple = (1, 4, 16, 64, 256)
     channels: int = 512
     n_layers: int = 4
-    kernel: int = 4
-    stride: int = 2
 
     def __post_init__(self):
         self.group_counts = tuple(int(g) for g in self.group_counts)
         require_positive("DiscriminatorConfig", group_counts=min(self.group_counts, default=0),
-                         channels=self.channels, n_layers=self.n_layers, kernel=self.kernel,
-                         stride=self.stride)
+                         channels=self.channels, n_layers=self.n_layers)
         for g in self.group_counts:
             if self.channels % g != 0:
                 raise ConfigError(f"DiscriminatorConfig: channels={self.channels} not divisible "
@@ -138,12 +140,12 @@ def parameter_shapes(gen_cfg: GeneratorConfig,
                        f"{p}.ff.w2": (dff, d), f"{p}.ff.b2": (d,)})
     shapes.update({"gen.lnf.g": (d,), "gen.lnf.b": (d,),
                    "gen.out.w": (d, HIGH_BINS), "gen.out.b": (HIGH_BINS,)})
-    C, k = disc_cfg.channels, disc_cfg.kernel
+    C = disc_cfg.channels
     for j, g in enumerate(disc_cfg.group_counts):
         p = f"disc{j}"
         shapes.update({f"{p}.proj.w": (C, N_BINS, 1), f"{p}.proj.b": (C,)})
         for i in range(1, disc_cfg.n_layers + 1):
-            shapes.update({f"{p}.conv{i}.w": (C, C // g, k), f"{p}.conv{i}.b": (C,)})
+            shapes.update({f"{p}.conv{i}.w": (C, C // g, KERNEL), f"{p}.conv{i}.b": (C,)})
         shapes.update({f"{p}.out.w": (1, C, 1), f"{p}.out.b": (1,)})
     return shapes
 
@@ -305,7 +307,7 @@ def discriminator_forward(weights: dict[str, Tensor], cfg: DiscriminatorConfig,
     for i in range(1, cfg.n_layers + 1):
         h = tt.leaky_relu(
             tt.conv1d_grouped(h, weights[f"{p}.conv{i}.w"], weights[f"{p}.conv{i}.b"],
-                              stride=cfg.stride, padding=1, groups=g), LEAKY_SLOPE)
+                              stride=STRIDE, padding=1, groups=g), LEAKY_SLOPE)
         features.append(h)
 
     logits = tt.conv1d_grouped(h, weights[f"{p}.out.w"], weights[f"{p}.out.b"])  # [B, 1, T']

@@ -21,10 +21,10 @@ from . import checkpoint as ckpt
 from . import tensor as tt
 from .errors import (CheckpointError, ConfigError, DataError, NumericError, ShapeError,
                      require_positive)
-from .model import (DiscriminatorConfig, GeneratorConfig, all_discriminators_forward,
-                    discriminator_parameter_names, discriminator_weights, generator_forward,
-                    generator_parameter_names, init_parameters, is_spectrally_normalized,
-                    parameter_shapes)
+from .model import (KERNEL, STRIDE, DiscriminatorConfig, GeneratorConfig,
+                    all_discriminators_forward, discriminator_parameter_names,
+                    discriminator_weights, generator_forward, generator_parameter_names,
+                    init_parameters, is_spectrally_normalized, parameter_shapes)
 from .tensor import Tensor
 
 
@@ -260,10 +260,11 @@ def _architecture_digest(gen_cfg: GeneratorConfig, disc_cfg: DiscriminatorConfig
 
     Training hyperparameters may differ between the run that wrote a
     checkpoint and the one reading it, and ``max_frames``, the context
-    length, sets no weight's shape.
+    length, sets no weight's shape. The constant kernel and stride are
+    digested too, so checkpoints written while they were config fields load.
     """
     gen = {f.name: getattr(gen_cfg, f.name) for f in fields(gen_cfg) if f.name != "max_frames"}
-    return ckpt.config_digest(gen, asdict(disc_cfg))
+    return ckpt.config_digest(gen, {**asdict(disc_cfg), "kernel": KERNEL, "stride": STRIDE})
 
 
 def _stored(tensors: dict[str, np.ndarray], key: str, shape=None) -> np.ndarray:

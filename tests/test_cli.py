@@ -103,6 +103,18 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config(None, overrides={"train.nope": 1})
 
+    def test_every_key_option_sets_its_key(self):
+        # an option whose dest is a dotted config key overrides that key; a
+        # typo in the dest would otherwise surface only when the option is used
+        parser = cli.build_parser()
+        commands = next(a for a in parser._actions if a.dest == "command").choices
+        dests = {a.dest for sub in commands.values() for a in sub._actions if "." in a.dest}
+        assert {"train.max_steps", "train.seed", "paths.corpus", "paths.run_dir"} <= dests
+        for dest in dests:
+            section, key = dest.split(".")
+            cfg = load_config(None, overrides={dest: "1"})
+            assert str(getattr(getattr(cfg, section), key)) in ("1", "1.0"), dest
+
     def test_render_round_trip(self, tmp_path):
         cfg = load_config(write_cfg(tmp_path))
         text = render_config(cfg)
@@ -179,6 +191,7 @@ class TestCliTrain:
         ("train", "[train]\nbatch_frames = 0"),
         ("train", "[train]\nlr_g = nan"),
         ("train", "[train]\nbeta1 = 0.9"),
+        ("train", "[discriminator]\nkernel = 4"),
         ("train", "[train]\nfm_weight = nan"),
         ("evaluate", "[lsd]\nn_fft = 0"),
         ("train", "[data]\nheldout_fraction = nan"),
@@ -187,7 +200,7 @@ class TestCliTrain:
         ("train", "[train]\nseed = -1"),
         ("train", "--seed -1"),
     ], ids=["n_heads", "odd_d_model", "channels", "group_count", "batch_size", "batch_frames",
-            "lr_g", "removed_beta1", "fm_weight", "lsd_n_fft", "heldout_nan",
+            "lr_g", "removed_beta1", "removed_kernel", "fm_weight", "lsd_n_fft", "heldout_nan",
             "heldout_negative", "heldout_above_one", "seed_in_file", "train_seed_option"])
     def test_bad_config_value_exit_1(self, cli_corpus, tmp_path, command, text):
         # text is either the config file or, starting with "--", options
@@ -342,6 +355,22 @@ class TestCliEvaluate:
         err = capsys.readouterr().err
         assert rc == 2 and "training set" in err
         assert any(name in err for name in trained)
+
+    @pytest.mark.parametrize("case", ["percent", "not_utf8", "directory"])
+    def test_config_read_literally_or_refused_exit_1(self, cli_corpus, tmp_path, case):
+        cfg = tmp_path / "run.cfg"
+        if case == "percent":
+            cfg.write_text("[paths]\nrun_dir = runs/100%\n")
+        elif case == "not_utf8":
+            cfg.write_bytes(b"[paths]\nrun_dir = runs/\xff\n")
+        else:
+            cfg.mkdir()
+        # with neither --checkpoint nor --baseline, evaluate echoes the
+        # effective config and then stops with a config error
+        proc = run_module("evaluate", "--config", str(cfg), "--corpus", str(cli_corpus))
+        assert proc.returncode == 1, proc.stderr
+        assert "config error:" in proc.stderr and "Traceback" not in proc.stderr
+        assert ("run_dir = runs/100%\n" in proc.stdout) == (case == "percent")
 
     def test_seed_option_removed(self, cli_corpus, tmp_path):
         proc = run_module("evaluate", "--baseline", "--corpus", str(cli_corpus), "--seed", "7")

@@ -231,6 +231,21 @@ class TestReconstructFull:
         out = reconstruct_full(spec, to_log_magnitude(np.abs(spec[:, 257:])), 44100)
         assert len(out) == (len(spec) - 1) * 256
 
+    def test_output_clamped_with_warning(self, caplog):
+        # a sine of amplitude 3 and its own upper magnitudes: the iSTFT runs
+        # past 1, and every sample it clamps is logged
+        t = np.arange(22050) / 44100
+        spec = stft(AudioBuffer(3.0 * np.sin(2 * np.pi * 440 * t), 44100))
+        spec += 1e-3  # no bin is 0, so the upper log magnitudes are finite
+        expected = istft(spec)
+        with caplog.at_level("WARNING", logger="upband.dsp"):
+            out = reconstruct_full(spec, np.log(np.abs(spec[:, 257:])), 44100)
+        assert np.max(np.abs(out.samples)) == 1.0
+        clamped = int(np.sum(np.abs(out.samples) == 1.0))
+        assert clamped > 0 and f"clamped {clamped} samples" in caplog.text
+        inside = np.abs(expected) < 1.0 - 1e-9
+        np.testing.assert_allclose(out.samples[inside], expected[inside], rtol=0, atol=1e-12)
+
     def test_frame_mismatch_rejected(self):
         with pytest.raises(ShapeError):
             reconstruct_full(np.zeros((4, 513), dtype=complex), np.zeros((5, 256)), 44100)

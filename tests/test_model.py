@@ -52,7 +52,7 @@ class TestInit:
             + d * dff + dff + dff * d + d)                         # feed-forward
         gen_expected += 2 * d                                      # final ln
         gen_expected += d * dsp.HIGH_BINS + dsp.HIGH_BINS          # output head
-        C, k = disc.channels, disc.kernel
+        C, k = disc.channels, model.KERNEL
         disc_expected = 0
         for g in disc.group_counts:
             disc_expected += dsp.N_BINS * C + C                    # projection

@@ -427,6 +427,14 @@ class TestCheckpoint:
             with pytest.raises(CheckpointError):
                 load_checkpoint(path, gen_cfg, state.disc_cfg, state.train_cfg)
 
+    @pytest.mark.parametrize("preset,digest", [("default", "12c1a5c35ecfd820"),
+                                               ("desk", "bdbb003eeb9a3d7d")])
+    def test_preset_architecture_digest_unchanged(self, preset, digest):
+        # every checkpoint records this digest; a new value refuses them all
+        cfg = load_config(None, preset=preset)
+        got = training._architecture_digest(cfg.generator, cfg.discriminator)
+        assert got.hex()[:16] == digest
+
     def test_loads_under_other_max_frames(self, small_examples, tmp_path):
         state = self._trained_state(small_examples, steps=1)
         path = tmp_path / "ck.nug"
@@ -549,6 +557,25 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError):
             load_checkpoint(path, state.gen_cfg, state.disc_cfg, state.train_cfg)
 
+    @pytest.mark.parametrize("damage", ["version", "dtype_tag"])
+    def test_unknown_version_or_dtype_tag_rejected(self, tmp_path, damage):
+        path = tmp_path / "t.nug"
+        checkpoint.save_tensors(path, {"w": np.ones(3, np.float32)}, bytes(32))
+        blob = bytearray(path.read_bytes())
+        if damage == "version":
+            blob[4:8] = struct.pack("<I", checkpoint.VERSION + 1)
+            match = "unknown format version 2"
+        else:
+            blob[40 + 4 + 1 + 4 + 8] = 9  # after the name length, "w", rank and one dim
+            match = "unknown dtype tag 9 for 'w'"
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CheckpointError, match=match):
+            checkpoint.load_tensors(path)
+
+    def test_unsupported_dtype_not_saved(self, tmp_path):
+        with pytest.raises(CheckpointError, match="unsupported dtype float16 for 'w'"):
+            checkpoint.save_tensors(tmp_path / "t.nug", {"w": np.ones(3, np.float16)}, bytes(32))
+
     def test_load_tensors_owned_and_writable(self, tmp_path):
         path = tmp_path / "t.nug"
         tensors = {"w": np.arange(12, dtype=np.float32).reshape(3, 4),
@@ -597,6 +624,20 @@ class TestTrainLoop:
         lines = (tmp_path / "run" / "loss.log").read_text().splitlines()
         assert len(lines) == 3
         assert lines[0].split("\t")[0] == "1"
+
+    def test_periodic_checkpoint_resumes_to_the_same_log(self, small_examples, tmp_path):
+        gen, disc = tiny_gen_cfg(), tiny_disc_cfg()
+        cfg = TrainConfig(batch_size=1, batch_frames=16, max_steps=3, seed=0,
+                          checkpoint_interval=2)
+        train_loop(small_examples, gen, disc, cfg, tmp_path / "straight")
+        written = sorted(p.name for p in (tmp_path / "straight").glob("checkpoint_*.nug"))
+        assert written == ["checkpoint_0000002.nug", "checkpoint_final.nug"]
+        train_loop(small_examples, gen, disc, cfg, tmp_path / "resumed",
+                   resume_from=tmp_path / "straight" / "checkpoint_0000002.nug")
+        straight = (tmp_path / "straight" / "loss.log").read_text().splitlines()
+        resumed = (tmp_path / "resumed" / "loss.log").read_text().splitlines()
+        assert len(straight) == 3
+        assert resumed == straight[2:]
 
     def test_empty_dataset_rejected(self, tmp_path):
         with pytest.raises(Exception):
