@@ -5,7 +5,9 @@ requires gradients. ``backward`` replays the tape once in reverse,
 accumulates gradients additively into every requires-grad tensor on the
 path, and removes the loss's ancestors from the tape; other nodes stay for
 a later backward. Float32 is the working precision; float64 is used by the
-finite-difference checker.
+finite-difference checker. The module needs numpy only: ``gelu`` takes erf
+from a float32 rational approximation (GELU within 1.4e-6 of its float64
+value) and, for float64 inputs, from ``math.erf``.
 
 Every operand of a primitive is a ``Tensor``, with one exception: the
 second operand of ``add``/``sub``/``mul`` is a tensor of the same shape, or
@@ -25,12 +27,24 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
-from scipy.special import erf
 
 from .errors import ConfigError, NumericError, ShapeError
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
+
+# Float32 erf(z) = z * P(z^2) / Q(z^2) on z clamped to [-4, 4], beyond which
+# erf rounds to +-1 in float32: Eigen's and XLA's rational approximation (odd
+# degree 13 over even degree 8), coefficients from the highest power down.
+_ERF_P = np.array([-2.72614225801306e-10, 2.77068142495902e-08, -2.10102402082508e-06,
+                   -5.69250639462346e-05, -7.34990630326855e-04, -2.95459980854025e-03,
+                   -1.60960333262415e-02], dtype=np.float32)
+_ERF_Q = np.array([-1.45660718464996e-05, -2.13374055278905e-04, -1.68282697438203e-03,
+                   -7.37332916720468e-03, -1.42647390514189e-02], dtype=np.float32)
+_math_erf = np.frompyfunc(math.erf, 1, 1)
+# elements per pass of gelu: three float32 scratch blocks of 128 KiB stay in
+# the L2 cache, where whole-array passes would stream every temporary from memory
+GELU_BLOCK = 32768
 
 
 class Tensor:
@@ -169,20 +183,70 @@ def leaky_relu(a: Tensor, slope: float = 0.2) -> Tensor:
     return _result(a.data * scale, (a,), lambda g: (g * scale,))
 
 
+def _horner(coeffs: np.ndarray, z2: np.ndarray, out: np.ndarray) -> None:
+    """The polynomial with ``coeffs`` (highest power first) at z2, into out."""
+    np.multiply(z2, coeffs[0], out=out)
+    for c in coeffs[1:-1]:
+        out += c
+        out *= z2
+    out += coeffs[-1]
+
+
+def _normal_cdf(x: np.ndarray, out: np.ndarray, z: np.ndarray, z2: np.ndarray) -> None:
+    """Phi(x) = 0.5 * (1 + erf(x / sqrt(2))) of a block x into out; z and z2
+    are scratch of x's size."""
+    np.multiply(x, _INV_SQRT2, out=z)
+    if x.dtype == np.float64:  # only gradient checks run GELU in float64
+        out[...] = _math_erf(z)
+    else:
+        np.clip(z, -4.0, 4.0, out=z)
+        np.multiply(z, z, out=z2)
+        _horner(_ERF_P, z2, out)
+        out *= z                       # the numerator; z is free after this
+        _horner(_ERF_Q, z2, z)
+        out /= z
+        np.clip(out, -1.0, 1.0, out=out)  # the ratio overshoots +-1 by an ulp near |z| = 4
+    out += 1.0
+    out *= 0.5
+
+
+def _gelu_blocks(x: np.ndarray, g: Optional[np.ndarray] = None) -> np.ndarray:
+    """GELU x * Phi(x), or with g its input gradient g * (Phi(x) + x * phi(x)),
+    evaluated GELU_BLOCK elements at a time into a fresh array of x's shape."""
+    xf = np.ascontiguousarray(x).reshape(-1)
+    gf = None if g is None else np.ascontiguousarray(g, dtype=x.dtype).reshape(-1)
+    out = np.empty(x.shape, dtype=x.dtype)
+    of = out.reshape(-1)
+    cdf, s1, s2 = (np.empty(min(GELU_BLOCK, xf.size), dtype=x.dtype) for _ in range(3))
+    for i in range(0, xf.size, GELU_BLOCK):
+        xb = xf[i:i + GELU_BLOCK]
+        n = xb.size
+        c, pdf = cdf[:n], s1[:n]
+        _normal_cdf(xb, c, pdf, s2[:n])
+        if gf is None:
+            np.multiply(xb, c, out=of[i:i + n])
+            continue
+        np.multiply(xb, -0.5, out=pdf)
+        pdf *= xb
+        np.exp(pdf, out=pdf)
+        pdf *= _INV_SQRT2PI
+        pdf *= xb
+        pdf += c
+        np.multiply(gf[i:i + n], pdf, out=of[i:i + n])
+    return out
+
+
 def gelu(a: Tensor) -> Tensor:
-    """Exact Gaussian-error-linear unit: 0.5 * x * (1 + erf(x / sqrt(2)))."""
+    """Exact Gaussian-error-linear unit: 0.5 * x * (1 + erf(x / sqrt(2))).
+
+    Float32 takes erf from the rational approximation ``_ERF_P / _ERF_Q``,
+    clipped to [-1, 1]: the result is within 1.4e-6 of float64 GELU (largest
+    near x = 5.6), x >= 5.66 returns x and x <= -5.66 returns -0. Float64
+    takes ``math.erf``. Both run in blocks of ``GELU_BLOCK`` elements, and
+    the backward pass recomputes Phi(x) from x instead of keeping it.
+    """
     x = a.data
-    cdf = x * _INV_SQRT2
-    erf(cdf, out=cdf)
-    cdf += 1.0
-    cdf *= 0.5
-    out = x * cdf
-
-    def bwd(g):
-        pdf = _INV_SQRT2PI * np.exp(-0.5 * x * x)
-        return ((g * (cdf + x * pdf)).astype(x.dtype),)
-
-    return _result(out, (a,), bwd)
+    return _result(_gelu_blocks(x), (a,), lambda g: (_gelu_blocks(x, g),))
 
 
 def max_with_scalar(a: Tensor, c: float) -> Tensor:
@@ -346,9 +410,9 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     peak = np.max(a.data, axis=axis, keepdims=True)
     if np.isnan(peak).any():  # max propagates NaN, so any NaN reaches its row's peak
         raise NumericError("softmax: NaN in input")
-    shifted = a.data - peak
-    e = np.exp(shifted)
-    out = e / np.sum(e, axis=axis, keepdims=True)
+    out = a.data - peak
+    np.exp(out, out=out)
+    out /= np.sum(out, axis=axis, keepdims=True)
 
     def bwd(g):
         dot = np.sum(g * out, axis=axis, keepdims=True)
@@ -362,11 +426,13 @@ def layer_norm(x: Tensor, gain: Tensor, shift: Tensor, eps: float = 1e-5) -> Ten
     d = x.shape[-1]
     if gain.shape != (d,) or shift.shape != (d,):
         raise ShapeError(f"layer_norm: gain/shift must have shape ({d},), got {gain.shape}/{shift.shape}")
-    xc = x.data - np.mean(x.data, axis=-1, keepdims=True)
-    var = np.mean(xc * xc, axis=-1, keepdims=True)  # np.var's sum and divide, bit for bit
+    y = x.data - np.mean(x.data, axis=-1, keepdims=True)
+    out = y * y  # the squares' buffer becomes the output
+    var = np.mean(out, axis=-1, keepdims=True)  # np.var's sum and divide, bit for bit
     inv = 1.0 / np.sqrt(var + eps)
-    y = xc * inv
-    out = y * gain.data + shift.data
+    y *= inv
+    np.multiply(y, gain.data, out=out)
+    out += shift.data
 
     def bwd(g):
         gy = g * gain.data
@@ -376,7 +442,7 @@ def layer_norm(x: Tensor, gain: Tensor, shift: Tensor, eps: float = 1e-5) -> Ten
         dshift = np.sum(g, axis=tuple(range(x.ndim - 1)))
         return (dx.astype(x.dtype), dgain, dshift)
 
-    return _result(out.astype(x.dtype, copy=False), (x, gain, shift), bwd)
+    return _result(out, (x, gain, shift), bwd)
 
 
 # ---------------------------------------------------------------------------

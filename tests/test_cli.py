@@ -37,13 +37,25 @@ def write_cfg(tmp_path, extra=""):
     return str(path)
 
 
-def run_module(*args):
-    """``python -m upband.cli *args`` in a fresh interpreter, so a traceback
-    reaches stderr instead of failing the test."""
+def run_python(*args):
+    """``python *args`` in a fresh interpreter that imports this upband, so a
+    traceback reaches stderr instead of failing the test."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
-    return subprocess.run([sys.executable, "-m", "upband.cli", *args],
+    return subprocess.run([sys.executable, *args],
                           capture_output=True, text=True, env=env, timeout=300)
+
+
+def run_module(*args):
+    """``python -m upband.cli *args`` in a fresh interpreter."""
+    return run_python("-m", "upband.cli", *args)
+
+
+def test_import_loads_no_scipy():
+    proc = run_python("-c", "import sys, upband.cli; "
+                      "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 class TestConfig:

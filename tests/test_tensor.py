@@ -3,7 +3,6 @@ import zlib
 
 import numpy as np
 import pytest
-from scipy.special import erf
 
 from upband import tensor as tt
 from upband.errors import ConfigError, NumericError, ShapeError
@@ -102,17 +101,46 @@ class TestProjection:
         np.testing.assert_allclose(tt.matmul(x, w).data, np.matmul(x.data, w.data), rtol=1e-12)
 
 
+# Eigen's and XLA's float32 erf: z * P(z^2) / Q(z^2), highest power first
+_ERF_P = np.array([-2.72614225801306e-10, 2.77068142495902e-08, -2.10102402082508e-06,
+                   -5.69250639462346e-05, -7.34990630326855e-04, -2.95459980854025e-03,
+                   -1.60960333262415e-02], dtype=np.float32)
+_ERF_Q = np.array([-1.45660718464996e-05, -2.13374055278905e-04, -1.68282697438203e-03,
+                   -7.37332916720468e-03, -1.42647390514189e-02], dtype=np.float32)
+
+
+def _poly(coeffs, z2):
+    p = z2 * coeffs[0]
+    for c in coeffs[1:-1]:
+        p = (p + c) * z2
+    return p + coeffs[-1]
+
+
 def _gelu_reference(x, g):
-    """GELU and its input gradient in the op order of the elementwise form."""
-    cdf = 0.5 * (1.0 + erf(x * (1.0 / math.sqrt(2.0))))
+    """GELU and its input gradient over whole arrays, in the elementwise form
+    with erf from ``math.erf`` for float64 and, for float32, from the
+    rational approximation on z clamped to [-4, 4], clipped to [-1, 1]."""
+    z = x * (1.0 / math.sqrt(2.0))
+    if x.dtype == np.float64:
+        e = np.frompyfunc(math.erf, 1, 1)(z).astype(np.float64)
+    else:
+        z = np.clip(z, -4.0, 4.0)
+        e = np.clip(_poly(_ERF_P, z * z) * z / _poly(_ERF_Q, z * z), -1.0, 1.0)
+    cdf = 0.5 * (1.0 + e)
     pdf = (1.0 / math.sqrt(2.0 * math.pi)) * np.exp(-0.5 * x * x)
     return x * cdf, g * (cdf + x * pdf)
+
+
+def _gelu64(x):
+    """Float64 GELU through ``math.erf``, whatever x's dtype."""
+    return _gelu_reference(x.astype(np.float64), np.zeros(x.shape))[0]
 
 
 class TestGelu:
     @pytest.mark.parametrize("case", ["small", "ffn_sized", "odd_size", "transposed_view",
                                       "float64"])
     def test_bytes_match_elementwise_form(self, case):
+        # odd_size is 40 blocks and 7 elements, so block boundaries show here
         rng = np.random.default_rng(zlib.crc32(case.encode()))
         dtype = np.float64 if case == "float64" else np.float32
         shape = {"small": (7, 11), "ffn_sized": (4, 124, 2048), "odd_size": (1310727,),
@@ -129,6 +157,22 @@ class TestGelu:
         assert out.dtype == dtype and xt.grad.dtype == dtype
         np.testing.assert_array_equal(out.data, ref_out)
         np.testing.assert_array_equal(xt.grad, ref_dx)
+        if dtype == np.float32:
+            np.testing.assert_allclose(out.data, _gelu64(x), rtol=0, atol=2e-6)
+
+    def test_tails(self):
+        big = np.array([6.0, 7.5, 1e4, 3e38], dtype=np.float32)
+        x = np.concatenate([big, -big, [np.nan]]).astype(np.float32)
+        out = tt.gelu(Tensor(x)).data
+        np.testing.assert_array_equal(out[:4], big)
+        assert np.all(out[4:8] == 0.0) and np.all(np.signbit(out[4:8]))
+        assert np.isnan(out[8])
+
+    def test_cdf_within_unit_interval(self):
+        # out / x is the CDF: 0 <= out <= x above zero, x <= out <= 0 below
+        x = np.linspace(-8.0, 8.0, 2**20 + 1, dtype=np.float32)
+        out = tt.gelu(Tensor(x)).data
+        assert np.all((np.minimum(x, 0.0) <= out) & (out <= np.maximum(x, 0.0)))
 
     def test_input_untouched(self):
         x = np.random.default_rng(8).normal(size=(4, 262144)).astype(np.float32)
@@ -237,6 +281,21 @@ class TestSoftmax:
         out = tt.softmax(Tensor(rng.normal(size=(6, 9))))
         np.testing.assert_allclose(out.data.sum(axis=-1), np.ones(6), atol=1e-6)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("axis", [-1, 0])
+    def test_bytes_match_unfused_form(self, axis, dtype):
+        x = (3.0 * np.random.default_rng(9).normal(size=(14, 8, 33, 37))).astype(dtype)
+        e = np.exp(x - np.max(x, axis=axis, keepdims=True))
+        out = tt.softmax(Tensor(x), axis=axis)
+        assert out.dtype == dtype
+        np.testing.assert_array_equal(out.data, e / e.sum(axis=axis, keepdims=True))
+
+    def test_input_untouched(self):
+        x = np.random.default_rng(10).normal(size=(4, 8, 33, 33)).astype(np.float32)
+        before = x.copy()
+        tt.softmax(Tensor(x))
+        np.testing.assert_array_equal(x, before)
+
     @pytest.mark.parametrize("axis", [-1, 0])
     def test_nan_off_the_row_max_rejected(self, axis):
         x = np.zeros((3, 4), dtype=np.float32)
@@ -270,6 +329,14 @@ class TestLayerNorm:
         out = tt.layer_norm(Tensor(x), Tensor(gain), Tensor(shift))
         assert out.dtype == np.float32
         np.testing.assert_array_equal(out.data, y * gain + shift)
+
+    def test_input_untouched(self):
+        rng = np.random.default_rng(11)
+        x, gain, shift = (rng.normal(size=s).astype(np.float32) for s in ((4, 33, 128), 128, 128))
+        before = [a.copy() for a in (x, gain, shift)]
+        tt.layer_norm(Tensor(x), Tensor(gain), Tensor(shift))
+        for a, b in zip((x, gain, shift), before, strict=True):
+            np.testing.assert_array_equal(a, b)
 
     def test_gradcheck_f32(self):
         rng = np.random.default_rng(7)
