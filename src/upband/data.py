@@ -43,6 +43,7 @@ def read_wav(path) -> AudioBuffer:
         blob = path.read_bytes()
     except OSError as exc:
         raise DataError(f"read_wav: cannot read {path}: {exc}") from exc
+    view = memoryview(blob)  # chunk bodies are slices of it, not copies
     if len(blob) < 12 or blob[:4] != b"RIFF" or blob[8:12] != b"WAVE":
         raise WavFormatError(f"read_wav: {path} is not a RIFF/WAVE file")
     fmt = None
@@ -51,7 +52,7 @@ def read_wav(path) -> AudioBuffer:
     while off + 8 <= len(blob):
         chunk_id = blob[off:off + 4]
         (chunk_size,) = struct.unpack_from("<I", blob, off + 4)
-        body = blob[off + 8:off + 8 + chunk_size]
+        body = view[off + 8:off + 8 + chunk_size]
         if chunk_id == b"fmt ":
             if len(body) < 16:
                 raise WavFormatError(f"read_wav: {path}: truncated 'fmt ' chunk")
@@ -100,16 +101,16 @@ def read_wav(path) -> AudioBuffer:
 def write_wav(path, audio: AudioBuffer) -> None:
     """IEEE float 32-bit mono; round-trips float32 sample values exactly."""
     samples = audio.samples.astype("<f4")
-    data = samples.tobytes()
     sr = audio.sample_rate
     fmt_body = struct.pack("<HHIIHH", _FMT_IEEE_FLOAT, 1, sr, sr * 4, 4, 32)
     fact_body = struct.pack("<I", len(samples))
-    riff_size = 4 + (8 + len(fmt_body)) + (8 + len(fact_body)) + (8 + len(data))
+    riff_size = 4 + (8 + len(fmt_body)) + (8 + len(fact_body)) + (8 + samples.nbytes)
     with open(path, "wb") as f:
         f.write(b"RIFF" + struct.pack("<I", riff_size) + b"WAVE")
         f.write(b"fmt " + struct.pack("<I", len(fmt_body)) + fmt_body)
         f.write(b"fact" + struct.pack("<I", len(fact_body)) + fact_body)
-        f.write(b"data" + struct.pack("<I", len(data)) + data)
+        f.write(b"data" + struct.pack("<I", samples.nbytes))
+        f.write(samples)  # the array's own buffer, not a bytes copy of it
 
 
 # ---------------------------------------------------------------------------

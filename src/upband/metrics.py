@@ -87,7 +87,7 @@ def evaluate_corpus(model_fn, files, read_fn, lsd_cfg: LsdConfig = LsdConfig(),
                     train_files=()) -> EvalReport:
     """Run the full inference pipeline on held-out files and aggregate LSD/SNR.
 
-    ``model_fn`` maps [T, 257] log magnitudes to [T, 256]; None evaluates
+    ``model_fn`` is what ``pipeline.upsample_buffer`` takes; None evaluates
     the plain interpolation baseline. ``read_fn`` loads a path into an
     AudioBuffer, which must be at SAMPLE_RATE. ``train_files`` is checked
     for overlap with the held-out set before any work is done.

@@ -96,10 +96,11 @@ def spectral_normalize(weight: Tensor, sn: dict[str, np.ndarray], name: str,
     u = sn[name].astype(w2.dtype)
     v = None
     for _ in range(POWER_ITERS):
+        # sqrt(v @ v) is the dot product and square root np.linalg.norm runs
         v = w2.T @ u
-        v = v / max(np.linalg.norm(v), 1e-12)
+        v /= max(np.sqrt(v @ v), 1e-12)
         u = w2 @ v
-        u = u / max(np.linalg.norm(u), 1e-12)
+        u /= max(np.sqrt(u @ u), 1e-12)
     if update:
         sn[name] = u.astype(np.float32)
     sigma = float(u @ w2 @ v)
@@ -248,23 +249,19 @@ def generator_forward(params: dict[str, Tensor], cfg: GeneratorConfig, low: Tens
 
 
 def make_generator_fn(params: dict[str, Tensor], cfg: GeneratorConfig):
-    """Inference closure: numpy [T, LOW_BINS] -> numpy [T, HIGH_BINS], run as
-    one batch of n = ceil(T / max_frames) equal windows, the training context,
-    the last ending at frame T; fewer than n frames fall in two windows. The
-    windows are cast to the weights' dtype, so the output has that dtype too."""
+    """Inference closure: numpy windows [n, L, LOW_BINS] with L at most its
+    ``max_frames`` attribute, the training context, -> numpy
+    [n, L, HIGH_BINS], each window predicted on its own. The windows are
+    cast to the weights' dtype, so the output has that dtype too. It keeps
+    only the generator's tensors, so the discriminators' can be freed."""
+    gen = {name: params[name] for name in generator_parameter_names(params)}
+    dtype = gen["gen.in.w"].dtype
 
-    def fn(low_log_mag: np.ndarray) -> np.ndarray:
-        dtype = params["gen.in.w"].dtype
-        T = low_log_mag.shape[0]
-        n = -(-T // cfg.max_frames)
-        L = -(-T // n)
-        frames = np.minimum(np.arange(n) * L, T - L)[:, None] + np.arange(L)
+    def fn(windows: np.ndarray) -> np.ndarray:
         with tt.no_grad():
-            pred = generator_forward(params, cfg, Tensor(low_log_mag[frames], dtype=dtype)).data
-        out = np.empty((T, HIGH_BINS), dtype=pred.dtype)
-        out[frames] = pred
-        return out
+            return generator_forward(gen, cfg, Tensor(windows, dtype=dtype)).data
 
+    fn.max_frames = cfg.max_frames
     return fn
 
 

@@ -60,7 +60,9 @@ def adam_step(params: dict[str, Tensor], names, v: dict[str, np.ndarray],
     """Bias-corrected Adam update number ``t`` (from 1) over ``names`` that
     clears each gradient it applies. At beta1 = 0 the first moment is the
     gradient, so each parameter moves by lr * g / (sqrt(v_hat) + eps); ``v``
-    holds the second moments."""
+    holds the second moments. It works in place in two scratch buffers per
+    parameter, in the order of operations of the expression, so the bytes do
+    not change."""
     for name in names:
         p = params[name]
         g = p.grad
@@ -71,10 +73,17 @@ def adam_step(params: dict[str, Tensor], names, v: dict[str, np.ndarray],
         moment = v.get(name)
         if moment is None:
             moment = v[name] = np.zeros_like(p.data)
+        a, b = np.empty_like(g), np.empty_like(g)
         moment *= BETA2
-        moment += (1.0 - BETA2) * g * g
-        v_hat = moment / (1.0 - BETA2 ** t)
-        p.data -= (lr * g / (np.sqrt(v_hat) + EPS)).astype(p.dtype)
+        np.multiply(g, 1.0 - BETA2, out=a)
+        a *= g
+        moment += a
+        np.divide(moment, 1.0 - BETA2 ** t, out=a)
+        np.sqrt(a, out=a)
+        a += EPS
+        np.multiply(g, lr, out=b)
+        b /= a
+        p.data -= b
         p.grad = None
 
 
@@ -280,9 +289,14 @@ def _stored(tensors: dict[str, np.ndarray], key: str, shape=None) -> np.ndarray:
 
 
 def save_checkpoint(path, state: TrainState) -> None:
+    """Write the training state. The generator's weights come last: a load
+    for inference keeps only them, and ``checkpoint.load_tensors``
+    allocates in file order, so what such a load frees lies below what it
+    keeps on the heap and the next load reuses it, where freed memory at the
+    top of the heap would go back to the kernel and fault in again."""
     tensors: dict[str, np.ndarray] = {}
-    for name, p in state.params.items():
-        tensors[f"param/{name}"] = p.data
+    for name in discriminator_parameter_names(state.params):
+        tensors[f"param/{name}"] = state.params[name].data
     for name, u in state.sn.items():
         tensors[f"sn.u/{name}"] = u
     for tag, moments in (("adam_g", state.adam_g), ("adam_d", state.adam_d)):
@@ -294,6 +308,8 @@ def save_checkpoint(path, state: TrainState) -> None:
     if state.train_files:
         names = "\n".join(state.train_files).encode("utf-8")
         tensors["train_files"] = np.frombuffer(names, dtype=np.uint8)
+    for name in generator_parameter_names(state.params):
+        tensors[f"param/{name}"] = state.params[name].data
     ckpt.save_tensors(path, tensors, _architecture_digest(state.gen_cfg, state.disc_cfg))
 
 

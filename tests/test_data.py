@@ -181,9 +181,12 @@ class TestSynthCorpus:
         keys = np.concatenate([ex.low_log_mag[::4] for ex in examples])
         values = np.concatenate([ex.high_log_mag_real[::4] for ex in examples])
 
-        def lookup(low):
+        def lookup(windows):
+            low = windows.reshape(-1, windows.shape[-1])
             d = ((low[:, None, :64] - keys[None, :, :64]) ** 2).sum(axis=2)
-            return values[np.argmin(d, axis=1)]
+            return values[np.argmin(d, axis=1)].reshape(*windows.shape[:-1], -1)
+
+        lookup.max_frames = 64
 
         held_files = held.paths()[:2]
         base = metrics.evaluate_corpus(None, held_files, data.read_wav)

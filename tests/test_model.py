@@ -1,12 +1,16 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
-from upband import config, dsp, model, tensor as tt
+from upband import config, dsp, model, pipeline, tensor as tt
 from upband.errors import ConfigError, ShapeError
 from upband.model import (DiscriminatorConfig, GeneratorConfig, all_discriminators_forward,
                           discriminator_forward, discriminator_weights, generator_forward,
                           init_parameters, parameter_shapes, spectral_normalize)
 from upband.tensor import Tensor
+from upband.training import TrainConfig, TrainState
 
 from conftest import tiny_disc_cfg, tiny_gen_cfg
 
@@ -121,11 +125,20 @@ class TestGeneratorFn:
         params, _ = init_parameters(gen, tiny_disc_cfg(), seed=1)
         return gen, params, model.make_generator_fn(params, gen)
 
+    @staticmethod
+    def _windows(x, max_frames):
+        """The windows upsample_buffer cuts from the frames ``x``."""
+        starts, length = pipeline._window_starts(len(x), max_frames)
+        return x[starts[:, None] + np.arange(length)]
+
     @pytest.mark.parametrize("T", [1, W - 1, W, W + 1, 2 * W + 3, 5 * W])
     def test_output_shape(self, T):
         _, _, fn = self._setup()
-        out = fn(np.random.default_rng(T).normal(size=(T, dsp.LOW_BINS)))
-        assert out.shape == (T, dsp.HIGH_BINS)
+        assert fn.max_frames == self.W
+        windows = self._windows(np.random.default_rng(T).normal(size=(T, dsp.LOW_BINS)),
+                                fn.max_frames)
+        out = fn(windows)
+        assert out.shape == windows.shape[:2] + (dsp.HIGH_BINS,)
         assert np.all(np.isfinite(out))
 
     @pytest.mark.parametrize("T", [1, W - 1, W])
@@ -134,19 +147,32 @@ class TestGeneratorFn:
         x = np.random.default_rng(T).normal(size=(T, dsp.LOW_BINS))
         dtype = params["gen.in.w"].dtype
         with tt.no_grad():
-            whole = generator_forward(params, gen, Tensor(x[None], dtype=dtype)).data[0]
-        np.testing.assert_array_equal(fn(x), whole)
+            whole = generator_forward(params, gen, Tensor(x[None], dtype=dtype)).data
+        windows = self._windows(x, self.W)
+        assert windows.shape == (1, T, dsp.LOW_BINS)
+        np.testing.assert_array_equal(fn(windows), whole)
 
     def test_prediction_sees_only_its_window(self):
         _, _, fn = self._setup()
         T = 3 * self.W + 2  # four windows of seven frames
-        x = np.random.default_rng(0).normal(size=(T, dsp.LOW_BINS))
-        base = fn(x)
-        x[2] += 5.0
-        moved = fn(x)
-        L = -(-T // 4)
-        assert np.max(np.abs(moved[:L] - base[:L])) > 1e-4
-        np.testing.assert_array_equal(moved[L:], base[L:])
+        windows = self._windows(np.random.default_rng(0).normal(size=(T, dsp.LOW_BINS)), self.W)
+        assert windows.shape[:2] == (4, 7)
+        base = fn(windows)
+        windows[0, 2] += 5.0
+        moved = fn(windows)
+        assert np.max(np.abs(moved[0] - base[0])) > 1e-4
+        np.testing.assert_array_equal(moved[1:], base[1:])
+
+    def test_closure_lets_the_discriminators_go(self):
+        gen = tiny_gen_cfg(max_frames=self.W)
+        state = TrainState.fresh(gen, tiny_disc_cfg(), TrainConfig(seed=0))
+        fn = model.make_generator_fn(state.params, gen)
+        disc = weakref.ref(state.params["disc0.proj.w"].data)
+        gen_w = weakref.ref(state.params["gen.in.w"].data)
+        del state
+        gc.collect()
+        assert disc() is None and gen_w() is not None
+        assert fn(np.zeros((1, self.W, dsp.LOW_BINS))).shape == (1, self.W, dsp.HIGH_BINS)
 
 
 class TestDiscriminator:

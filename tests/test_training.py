@@ -376,7 +376,7 @@ class TestPrecision:
         train_step(state, low.astype(np.float64), high.astype(np.float64))
         assert dtypes and set(dtypes) == {np.dtype(np.float32)}
         fn = model.make_generator_fn(state.params, cfg.generator)
-        out = fn(np.random.default_rng(0).normal(size=(100, 257)))
+        out = fn(np.random.default_rng(0).normal(size=(2, 50, 257)))
         assert out.dtype == np.float32
 
 
@@ -401,6 +401,15 @@ class TestCheckpoint:
             low, high = sample_batch(small_examples, state.rng, 1, 16)
             train_step(state, low, high)
         return state
+
+    def test_generator_weights_are_the_last_records(self, small_examples, tmp_path):
+        # a load for inference keeps only these, so what it frees was read first
+        state = self._trained_state(small_examples, steps=1)
+        path = tmp_path / "ck.nug"
+        save_checkpoint(path, state)
+        names = list(checkpoint.load_tensors(path))
+        gen = [f"param/{name}" for name in model.generator_parameter_names(state.params)]
+        assert names[-len(gen):] == gen and len(set(names)) == len(names)
 
     def test_round_trip_bit_exact(self, small_examples, tmp_path):
         state = self._trained_state(small_examples)
