@@ -33,23 +33,33 @@ def config_digest(*configs) -> bytes:
 
 
 def save_tensors(path, tensors: dict[str, np.ndarray], digest: bytes) -> None:
+    """Write every record to a temporary file beside ``path``, then move it
+    over ``path``: a save that fails leaves an earlier file there as it was
+    and removes its temporary file."""
     path = Path(path)
-    with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(struct.pack("<I", VERSION))
-        f.write(digest)
-        for name, arr in tensors.items():
-            arr = np.asarray(arr)
-            if arr.dtype not in _DTYPE_TAGS:
-                raise CheckpointError(f"checkpoint: unsupported dtype {arr.dtype} for {name!r}")
-            encoded = name.encode("utf-8")
-            f.write(struct.pack("<I", len(encoded)))
-            f.write(encoded)
-            f.write(struct.pack("<I", arr.ndim))
-            for dim in arr.shape:
-                f.write(struct.pack("<Q", dim))
-            f.write(struct.pack("<B", _DTYPE_TAGS[arr.dtype]))
-            f.write(arr.tobytes())
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as f:
+            f.write(MAGIC)
+            f.write(struct.pack("<I", VERSION))
+            f.write(digest)
+            for name, arr in tensors.items():
+                arr = np.asarray(arr)
+                if arr.dtype not in _DTYPE_TAGS:
+                    raise CheckpointError(f"checkpoint: unsupported dtype {arr.dtype} "
+                                          f"for {name!r}")
+                encoded = name.encode("utf-8")
+                f.write(struct.pack("<I", len(encoded)))
+                f.write(encoded)
+                f.write(struct.pack("<I", arr.ndim))
+                for dim in arr.shape:
+                    f.write(struct.pack("<Q", dim))
+                f.write(struct.pack("<B", _DTYPE_TAGS[arr.dtype]))
+                f.write(arr.tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_tensors(path, expected_digest: bytes | None = None) -> dict[str, np.ndarray]:

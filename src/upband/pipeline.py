@@ -104,5 +104,8 @@ def upsample_buffer(audio: AudioBuffer, model_fn=None) -> AudioBuffer:
         begin = max(first - HALO, 0) * hop
         end = (n_frames - 1) * hop if final == n_frames else max(final - HALO, 0) * hop
         out[begin:end] = block[begin - origin * hop:end - origin * hop]
-        tail = high[max(used - LEAD_IN, 0):used]
+        # a copy, so that this block's arrays go before the next block's
+        # STFT and forward allocate theirs
+        tail = high[max(used - LEAD_IN, 0):used].copy()
+        del spec, low, high, block
     return AudioBuffer(out[:n], sr)

@@ -26,7 +26,6 @@ import math
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .errors import ConfigError, NumericError, ShapeError
 
@@ -353,6 +352,12 @@ def conv1d_grouped(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: in
     x: [B, C_in, T]; w: [C_out, C_in/groups, k]; b: [C_out].
     Output time length is floor((T + 2*padding - k) / stride) + 1. Channel
     group i of the output depends only on channel group i of the input.
+
+    Lowered per kernel tap: tap j is the strided view
+    ``xp[:, :, j:j + span:stride]`` of the (zero-padded) input, and its
+    batched product with ``w[..., j]`` adds straight into the output, so the
+    forward pass copies no window. The backward pass computes dx, dw and db
+    only for the inputs that require gradients.
     """
     if x.ndim != 3 or w.ndim != 3 or b.ndim != 1:
         raise ShapeError(f"conv1d_grouped: expected x [B,C,T], w [C_out,C_in/g,k], b [C_out]; "
@@ -373,30 +378,43 @@ def conv1d_grouped(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: in
                          f"stride {stride}, padding {padding}")
 
     c_out_g = c_out // g
-    xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding)))
-    s0, s1, s2 = xp.strides
-    win = as_strided(xp, shape=(B, g, c_in_g, t_out, k),
-                     strides=(s0, s1 * c_in_g, s1, s2 * stride, s2))
-    # lower to batched GEMM: [B,g,t,ck] @ [g,ck,o]
-    win2 = np.ascontiguousarray(win.transpose(0, 1, 3, 2, 4)).reshape(B, g, t_out, c_in_g * k)
-    wg2 = w.data.reshape(g, c_out_g, c_in_g * k).transpose(0, 2, 1)
-    out = np.matmul(win2, wg2)                       # [B, g, t_out, c_out_g]
-    out = out.transpose(0, 1, 3, 2).reshape(B, c_out, t_out) + b.data[None, :, None]
+    span = (t_out - 1) * stride + 1
+    if padding:
+        xp = np.zeros((B, c_in, t_in + 2 * padding), dtype=x.dtype)
+        xp[:, :, padding:padding + t_in] = x.data
+    else:
+        xp = x.data
+    wt = np.ascontiguousarray(w.data.reshape(g, c_out_g, c_in_g, k).transpose(3, 0, 1, 2))
+
+    def tap(j: int) -> np.ndarray:  # [B, g, c_in_g, t_out], a view of xp
+        return xp[:, :, j:j + span:stride].reshape(B, g, c_in_g, t_out)
+
+    out = np.matmul(wt[0], tap(0))                     # [B, g, c_out_g, t_out]
+    for j in range(1, k):
+        out += np.matmul(wt[j], tap(j))
+    out = out.reshape(B, c_out, t_out)
+    out += b.data[:, None]
 
     def bwd(grad):
-        gg = grad.reshape(B, g, c_out_g, t_out).transpose(0, 1, 3, 2)  # [B,g,t,o]
-        gg = np.ascontiguousarray(gg)
-        dw = np.matmul(win2.transpose(0, 1, 3, 2), gg).sum(axis=0)     # [g,ck,o]
-        dw = dw.transpose(0, 2, 1).reshape(c_out, c_in_g, k)
-        db = grad.sum(axis=(0, 2))
-        dwin = np.matmul(gg, wg2.transpose(0, 2, 1))                   # [B,g,t,ck]
-        dwin = dwin.reshape(B, g, t_out, c_in_g, k).transpose(0, 1, 3, 2, 4)
-        dwin = dwin.reshape(B, c_in, t_out, k)
-        dxp = np.zeros_like(xp)
-        span = (t_out - 1) * stride + 1
-        for j in range(k):
-            dxp[:, :, j:j + span:stride] += dwin[:, :, :, j]
-        dx = dxp[:, :, padding:padding + t_in]
+        gg = grad.reshape(B, g, c_out_g, t_out)
+        dx = dw = db = None
+        if x.requires_grad:
+            dxp = np.zeros(xp.shape, dtype=xp.dtype)
+            for j in range(k):
+                dxp[:, :, j:j + span:stride] += np.matmul(
+                    wt[j].transpose(0, 2, 1), gg).reshape(B, c_in, t_out)
+            dx = dxp[:, :, padding:padding + t_in]
+        if w.requires_grad:
+            # the batch joins the contraction: one product per group and tap,
+            # where a product per batch entry and a sum over them is slower
+            ggt = np.ascontiguousarray(gg.transpose(1, 2, 0, 3)).reshape(g, c_out_g, B * t_out)
+            dw = np.empty((g, c_out_g, c_in_g, k), dtype=w.dtype)
+            for j in range(k):
+                tj = np.ascontiguousarray(tap(j).transpose(1, 2, 0, 3))
+                dw[..., j] = np.matmul(ggt, tj.reshape(g, c_in_g, B * t_out).transpose(0, 2, 1))
+            dw = dw.reshape(c_out, c_in_g, k)
+        if b.requires_grad:
+            db = grad.sum(axis=(0, 2))
         return (dx, dw, db)
 
     return _result(out, (x, w, b), bwd)

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from upband import tensor as tt
+from upband.config import load_config
 from upband.errors import ConfigError, NumericError, ShapeError
+from upband.model import KERNEL, STRIDE
 from upband.tensor import Tensor
 
 
@@ -181,6 +183,67 @@ class TestGelu:
         np.testing.assert_array_equal(x, before)
 
 
+def _im2col_conv(x, w, b, gout, stride, padding, groups):
+    """Reference grouped convolution by the im2col lowering: a contiguous
+    [B, g, t_out, c_in_g * k] window copy times the weights as one batched
+    GEMM. Returns the output and dx, dw and db for the output gradient gout."""
+    B, c_in, t_in = x.shape
+    c_out, c_in_g, k = w.shape
+    g = groups
+    t_out = (t_in + 2 * padding - k) // stride + 1
+    c_out_g = c_out // g
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding)))
+    s0, s1, s2 = xp.strides
+    win = np.lib.stride_tricks.as_strided(xp, shape=(B, g, c_in_g, t_out, k),
+                                          strides=(s0, s1 * c_in_g, s1, s2 * stride, s2))
+    win2 = np.ascontiguousarray(win.transpose(0, 1, 3, 2, 4)).reshape(B, g, t_out, c_in_g * k)
+    wg2 = w.reshape(g, c_out_g, c_in_g * k).transpose(0, 2, 1)
+    out = np.matmul(win2, wg2).transpose(0, 1, 3, 2).reshape(B, c_out, t_out) + b[None, :, None]
+    gg = np.ascontiguousarray(gout.reshape(B, g, c_out_g, t_out).transpose(0, 1, 3, 2))
+    dw = np.matmul(win2.transpose(0, 1, 3, 2), gg).sum(axis=0)
+    dw = dw.transpose(0, 2, 1).reshape(c_out, c_in_g, k)
+    db = gout.sum(axis=(0, 2))
+    dwin = np.matmul(gg, wg2.transpose(0, 2, 1)).reshape(B, g, t_out, c_in_g, k)
+    dwin = dwin.transpose(0, 1, 3, 2, 4).reshape(B, c_in, t_out, k)
+    dxp = np.zeros_like(xp)
+    span = (t_out - 1) * stride + 1
+    for j in range(k):
+        dxp[:, :, j:j + span:stride] += dwin[:, :, :, j]
+    return out, (dxp[:, :, padding:padding + t_in], dw, db)
+
+
+def _conv_node(x, w, b, gout, **kw):
+    """conv1d_grouped's output and what its node returns for gout."""
+    tt.reset_tape()
+    out = tt.conv1d_grouped(x, w, b, **kw)
+    node = tt.active_tape().nodes[-1]
+    assert node.out is out
+    return out.data, node.backward_fn(gout)
+
+
+def _desk_discriminator_layers():
+    """(B, C_in, T, C_out, k, stride, padding, groups) of every conv1d_grouped
+    call of one desk discriminator pass, at the D phase's batch of 8."""
+    cfg = load_config(None, preset="desk")
+    B, T, C = 2 * cfg.train.batch_size, cfg.train.batch_frames, cfg.discriminator.channels
+    layers = {(B, 513, T, C, 1, 1, 0, 1), (B, C, T // 2 ** cfg.discriminator.n_layers, 1, 1, 1, 0, 1)}
+    for g in cfg.discriminator.group_counts:
+        for i in range(cfg.discriminator.n_layers):
+            layers.add((B, C, T // 2 ** i, C, KERNEL, STRIDE, 1, g))
+    return sorted(layers)
+
+
+# stride 1 and 2, padding 0 and 1, k 1 and 4, every group count of 8
+# channels, and t_out of 1
+_ORACLE_CASES = [(2, 8, 9, 8, k, s, p, g) for k in (1, 4) for s in (1, 2) for p in (0, 1)
+                 for g in (1, 2, 4, 8)] + [
+    (3, 8, 4, 16, 4, 2, 0, 2),   # t_out 1
+    (1, 6, 3, 6, 4, 1, 1, 3),    # t_out 2 from 3 samples, padding 1
+    (2, 4, 2, 4, 4, 2, 1, 4),    # t_out 1 with padding
+    (2, 12, 11, 6, 3, 3, 1, 3),  # stride 3 leaves the last sample unread
+]
+
+
 class TestConv1dGrouped:
     def test_output_length(self):
         x = Tensor(np.zeros((1, 512, 100)))
@@ -230,6 +293,57 @@ class TestConv1dGrouped:
         with pytest.raises(ShapeError):
             tt.conv1d_grouped(Tensor(np.zeros((6, 8))), Tensor(np.zeros((6, 1, 3))),
                               Tensor(np.zeros(6)), groups=6)
+
+    @pytest.mark.parametrize("case", _ORACLE_CASES + _desk_discriminator_layers(),
+                             ids=lambda c: "B{}-C{}-T{}-O{}-k{}-s{}-p{}-g{}".format(*c))
+    def test_matches_im2col_oracle(self, case):
+        # relative 1e-5 of each result's largest magnitude, fixed beforehand:
+        # the per-tap lowering sums in another order than the oracle
+        B, c_in, t_in, c_out, k, stride, padding, g = case
+        rng = np.random.default_rng(zlib.crc32(repr(case).encode()))
+        x = rng.normal(size=(B, c_in, t_in)).astype(np.float32)
+        w = rng.normal(size=(c_out, c_in // g, k)).astype(np.float32)
+        b = rng.normal(size=c_out).astype(np.float32)
+        t_out = (t_in + 2 * padding - k) // stride + 1
+        gout = rng.normal(size=(B, c_out, t_out)).astype(np.float32)
+        ref_out, ref_grads = _im2col_conv(x, w, b, gout, stride, padding, g)
+        out, grads = _conv_node(*(Tensor(a, requires_grad=True) for a in (x, w, b)), gout,
+                                stride=stride, padding=padding, groups=g)
+        for got, ref in zip((out,) + tuple(grads), (ref_out,) + ref_grads):
+            assert got.shape == ref.shape and got.dtype == np.float32
+            assert np.max(np.abs(got - ref)) <= 1e-5 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("needs", [(True, False, False), (False, True, False),
+                                       (False, False, True), (False, True, True),
+                                       (True, True, False), (True, False, True)],
+                             ids=lambda n: "".join(c for c, on in zip("xwb", n) if on))
+    def test_gradients_only_for_inputs_that_need_them(self, needs):
+        # a frozen weight and bias get no dw or db, a constant input no dx;
+        # what is computed is bit-identical to the all-inputs case
+        rng = np.random.default_rng(6)
+        arrays = (rng.normal(size=(3, 8, 10)).astype(np.float32),
+                  rng.normal(size=(8, 2, 4)).astype(np.float32),
+                  rng.normal(size=8).astype(np.float32))
+        gout = rng.normal(size=(3, 8, 5)).astype(np.float32)
+        kw = dict(stride=2, padding=1, groups=4)
+        _, full = _conv_node(*(Tensor(a, requires_grad=True) for a in arrays), gout, **kw)
+        _, some = _conv_node(*(Tensor(a, requires_grad=n) for a, n in zip(arrays, needs)),
+                             gout, **kw)
+        for n, got, ref in zip(needs, some, full):
+            if n:
+                np.testing.assert_array_equal(got, ref)
+            else:
+                assert got is None
+
+    def test_backward_skips_a_constant_input(self):
+        # the tape's backward passes over the None gradients
+        rng = np.random.default_rng(7)
+        x = Tensor(rng.normal(size=(2, 8, 10)))
+        w = Tensor(rng.normal(size=(8, 1, 4)), requires_grad=True)
+        b = Tensor(rng.normal(size=8))
+        tt.reset_tape()
+        tt.backward(tt.tsum(tt.conv1d_grouped(x, w, b, stride=2, padding=1, groups=8)))
+        assert x.grad is None and b.grad is None and w.grad.shape == w.shape
 
 
 class TestElementwise:

@@ -585,6 +585,18 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="unsupported dtype float16 for 'w'"):
             checkpoint.save_tensors(tmp_path / "t.nug", {"w": np.ones(3, np.float16)}, bytes(32))
 
+    def test_failed_save_leaves_the_old_checkpoint(self, tmp_path):
+        # the save fails after its first record: the file already there keeps
+        # its bytes and no temporary file stays behind
+        path = tmp_path / "t.nug"
+        checkpoint.save_tensors(path, {"w": np.arange(4, dtype=np.float32)}, bytes(32))
+        before = path.read_bytes()
+        with pytest.raises(CheckpointError, match="unsupported dtype float16 for 'h'"):
+            checkpoint.save_tensors(path, {"w": np.ones(8, np.float32),
+                                           "h": np.ones(3, np.float16)}, bytes(32))
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["t.nug"]
+
     def test_load_tensors_owned_and_writable(self, tmp_path):
         path = tmp_path / "t.nug"
         tensors = {"w": np.arange(12, dtype=np.float32).reshape(3, 4),
