@@ -1,9 +1,8 @@
 """Command-line entry point.
 
 Commands: ``synth`` (generate a synthetic corpus), ``train``,
-``upsample``, ``evaluate``, ``check``. Exit codes: 0 success, 1 config
-error, 2 data error (an output that cannot be written too), 3 numeric
-abort, 4 self-check failure.
+``upsample``, ``evaluate``. Exit codes: 0 success, 1 config error, 2 data
+error (an output that cannot be written too), 3 numeric abort.
 """
 
 from __future__ import annotations
@@ -12,7 +11,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from . import data, metrics, model, selfcheck, training
+from . import data, metrics, model, training
 from .config import RunConfig, load_config, render_config
 from .errors import ConfigError, DataError, NumericError, UpbandError
 from .pipeline import upsample_buffer
@@ -105,17 +104,6 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def cmd_check(args) -> int:
-    for name, suite in selfcheck.SUITES:
-        try:
-            suite()
-        except Exception as exc:
-            print(f"{name}: FAIL ({exc})")
-            return 4
-        print(f"{name}: ok")
-    return 0
-
-
 # ---------------------------------------------------------------------------
 
 
@@ -159,9 +147,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", default=None)
     p.add_argument("--baseline", action="store_true")
     p.set_defaults(fn=cmd_evaluate)
-
-    p = sub.add_parser("check", help="run the invariant self-check suites")
-    p.set_defaults(fn=cmd_check)
     return parser
 
 

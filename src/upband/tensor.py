@@ -5,9 +5,9 @@ requires gradients. ``backward`` replays the tape once in reverse,
 accumulates gradients additively into every requires-grad tensor on the
 path, and removes the loss's ancestors from the tape; other nodes stay for
 a later backward. Float32 is the working precision; float64 is used by the
-finite-difference checker. The module needs numpy only: ``gelu`` takes erf
-from a float32 rational approximation (GELU within 1.4e-6 of its float64
-value) and, for float64 inputs, from ``math.erf``.
+tests' finite-difference checker. The module needs numpy only: ``gelu``
+takes erf from a float32 rational approximation (GELU within 1.4e-6 of its
+float64 value) and, for float64 inputs, from ``math.erf``.
 
 Every operand of a primitive is a ``Tensor``, with one exception: the
 second operand of ``add``/``sub``/``mul`` is a tensor of the same shape, or
@@ -79,9 +79,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
@@ -177,8 +174,10 @@ def tabs(a: Tensor) -> Tensor:
 
 
 def leaky_relu(a: Tensor, slope: float = 0.2) -> Tensor:
-    mask = a.data > 0
-    scale = np.where(mask, 1.0, slope).astype(a.dtype)
+    # 1 where a > 0, else slope (NaN included): for 0 <= slope <= 1 a maximum
+    # gives np.where(a > 0, 1.0, slope)'s bytes without its per-element select
+    scale = (a.data > 0).astype(a.dtype)
+    np.maximum(scale, a.dtype.type(slope), out=scale)
     return _result(a.data * scale, (a,), lambda g: (g * scale,))
 
 
@@ -499,54 +498,3 @@ def backward(loss: Tensor) -> None:
     for tensor, g in grads.values():
         tensor.grad = g if tensor.grad is None else tensor.grad + g
     _tape.nodes[:] = [n for n in _tape.nodes if id(n.out) not in grads]
-
-
-# ---------------------------------------------------------------------------
-# finite-difference oracle
-
-
-def numeric_gradient(fn: Callable[[Sequence[Tensor]], Tensor], inputs: Sequence[Tensor],
-                     eps: Optional[float] = None) -> list[np.ndarray]:
-    """Central finite differences of a scalar-valued fn w.r.t. each input."""
-    grads = []
-    with no_grad():
-        for t in inputs:
-            flat = t.data.reshape(-1)
-            scale = max(1.0, float(np.max(np.abs(flat))) if flat.size else 1.0)
-            h = eps if eps is not None else (1e-3 * scale if t.dtype == np.float32 else 1e-6 * scale)
-            g = np.zeros_like(flat, dtype=np.float64)
-            for i in range(flat.size):
-                orig = flat[i]
-                flat[i] = orig + h
-                fp = float(fn(inputs).data)
-                flat[i] = orig - h
-                fm = float(fn(inputs).data)
-                flat[i] = orig
-                g[i] = (fp - fm) / (2.0 * h)
-            grads.append(g.reshape(t.shape).astype(t.dtype))
-    return grads
-
-
-def check_gradients(fn: Callable[[Sequence[Tensor]], Tensor], inputs: Sequence[Tensor],
-                    rel_tol: float, eps: Optional[float] = None) -> float:
-    """Compare analytic gradients of scalar fn against central differences.
-
-    Returns the worst relative error; raises NumericError when it exceeds
-    rel_tol. Inputs must all have requires_grad set.
-    """
-    reset_tape()
-    for t in inputs:
-        t.zero_grad()
-    loss = fn(inputs)
-    backward(loss)
-    numeric = numeric_gradient(fn, inputs, eps=eps)
-    worst = 0.0
-    for t, num in zip(inputs, numeric):
-        if t.grad is None:
-            raise NumericError("check_gradients: input missing analytic gradient")
-        denom = max(float(np.max(np.abs(num))), float(np.max(np.abs(t.grad))), 1e-8)
-        err = float(np.max(np.abs(t.grad.astype(np.float64) - num.astype(np.float64)))) / denom
-        worst = max(worst, err)
-    if worst > rel_tol:
-        raise NumericError(f"gradient check failed: max relative error {worst:.3e} > {rel_tol:.1e}")
-    return worst

@@ -1,39 +1,69 @@
-"""Invariant oracles, run by ``upband check`` and by the test suite.
+"""Test oracles: the finite-difference gradient checker and invariant checks.
 
-Each oracle checks one invariant the pipeline rests on against an
+Each invariant oracle checks one invariant the pipeline rests on against an
 independent reference and raises ``NumericError`` when it does not hold.
 Oracles reach the library through module attributes (``dsp.istft``,
 ``metrics.lsd``, ...), so patching the function under check makes its
-oracle trip.
+oracle trip; ``test_selfcheck.py`` shows that each one does.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from . import dsp, metrics, model, tensor as tt
-from .dsp import AudioBuffer
-from .errors import NumericError
+from upband import dsp, metrics, model, tensor as tt
+from upband.dsp import AudioBuffer
+from upband.errors import NumericError
 
 
-def gradcheck() -> None:
-    """Analytic gradients of the composite primitives against central differences."""
-    rng = np.random.default_rng(7)
-    cases = [
-        (lambda ins: tt.tsum(tt.matmul(ins[0], ins[1])), [(3, 4), (4, 2)]),
-        (lambda ins: tt.tsum(
-            tt.conv1d_grouped(ins[0], ins[1], ins[2], stride=2, padding=1, groups=4)),
-         [(1, 8, 12), (8, 2, 4), (8,)]),
-        (lambda ins: tt.tsum(tt.mul(tt.softmax(ins[0]), ins[1])), [(4, 6), (4, 6)]),
-        (lambda ins: tt.tsum(tt.mul(tt.layer_norm(ins[0], ins[1], ins[2]), ins[3])),
-         [(3, 8), (8,), (8,), (3, 8)]),
-    ]
-    for fn, shapes in cases:
-        inputs = [tt.Tensor(rng.normal(size=s), requires_grad=True, dtype=np.float64)
-                  for s in shapes]
-        tt.check_gradients(fn, inputs, rel_tol=1e-6)
+def numeric_gradient(fn: Callable[[Sequence[tt.Tensor]], tt.Tensor], inputs: Sequence[tt.Tensor],
+                     eps: Optional[float] = None) -> list[np.ndarray]:
+    """Central finite differences of a scalar-valued fn w.r.t. each input."""
+    grads = []
+    with tt.no_grad():
+        for t in inputs:
+            flat = t.data.reshape(-1)
+            scale = max(1.0, float(np.max(np.abs(flat))) if flat.size else 1.0)
+            h = eps if eps is not None else (1e-3 * scale if t.dtype == np.float32 else 1e-6 * scale)
+            g = np.zeros_like(flat, dtype=np.float64)
+            for i in range(flat.size):
+                orig = flat[i]
+                flat[i] = orig + h
+                fp = float(fn(inputs).data)
+                flat[i] = orig - h
+                fm = float(fn(inputs).data)
+                flat[i] = orig
+                g[i] = (fp - fm) / (2.0 * h)
+            grads.append(g.reshape(t.shape).astype(t.dtype))
+    return grads
+
+
+def check_gradients(fn: Callable[[Sequence[tt.Tensor]], tt.Tensor], inputs: Sequence[tt.Tensor],
+                    rel_tol: float, eps: Optional[float] = None) -> float:
+    """Compare analytic gradients of scalar fn against central differences.
+
+    Returns the worst relative error; raises NumericError when it exceeds
+    rel_tol. Inputs must all have requires_grad set.
+    """
+    tt.reset_tape()
+    for t in inputs:
+        t.grad = None
+    loss = fn(inputs)
+    tt.backward(loss)
+    numeric = numeric_gradient(fn, inputs, eps=eps)
+    worst = 0.0
+    for t, num in zip(inputs, numeric):
+        if t.grad is None:
+            raise NumericError("check_gradients: input missing analytic gradient")
+        denom = max(float(np.max(np.abs(num))), float(np.max(np.abs(t.grad))), 1e-8)
+        err = float(np.max(np.abs(t.grad.astype(np.float64) - num.astype(np.float64)))) / denom
+        worst = max(worst, err)
+    if worst > rel_tol:
+        raise NumericError(f"gradient check failed: max relative error {worst:.3e} > {rel_tol:.1e}")
+    return worst
 
 
 def stft_roundtrip() -> None:
@@ -120,13 +150,3 @@ def group_independence() -> None:
         changed = np.nonzero(np.any(base != out2, axis=(0, 2)))[0]
         if not np.array_equal(changed, np.arange(c // g, 2 * c // g)):
             raise NumericError(f"group independence violated at groups={g}")
-
-
-SUITES = [
-    ("gradcheck", gradcheck),
-    ("stft_roundtrip", stft_roundtrip),
-    ("sinc_oracle", sinc_oracle),
-    ("lsd_oracle", lsd_oracle),
-    ("spectral_norm", spectral_norm),
-    ("group_independence", group_independence),
-]

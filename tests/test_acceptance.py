@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from upband import cli, data, dsp, metrics, model, selfcheck, tensor as tt, training
+from upband import cli, data, dsp, metrics, model, tensor as tt, training
 from upband.dsp import AudioBuffer
 from upband.model import (DiscriminatorConfig, GeneratorConfig,
                           all_discriminators_forward, discriminator_forward,
@@ -23,6 +23,7 @@ from upband.training import (TrainConfig, TrainState, feature_matching_loss,
                              train_loop, train_step)
 
 from conftest import tiny_disc_cfg, tiny_gen_cfg
+from oracles import check_gradients
 
 
 def test_01_full_scale_targets_substituted():
@@ -163,7 +164,7 @@ def _check_composed(build_loss, params, name, rel_tol, label):
     float64 evaluation of the function it differentiates."""
     target = params[name]
     tt.reset_tape()
-    target.zero_grad()
+    target.grad = None
     tt.backward(build_loss(params))
     assert target.grad.dtype == target.dtype, label
     ana = target.grad.astype(np.float64).reshape(-1)
@@ -277,7 +278,7 @@ def test_02_gradient_correctness():
             cases = _primitive_cases(rng, dtype)
             n_cases = len(cases)
             for name, fn, inputs in cases:
-                worst = tt.check_gradients(fn, inputs, rel_tol=rel_tol)
+                worst = check_gradients(fn, inputs, rel_tol=rel_tol)
                 assert worst <= rel_tol, name
     assert n_cases == 21
     for dtype, rel_tol in ((np.float32, 1e-3), (np.float64, 1e-6)):
@@ -292,10 +293,9 @@ def test_02_gradient_correctness():
 
 
 def test_03_dsp_oracles():
+    # the STFT round trip and the 1 kHz sinc tone are oracles.stft_roundtrip
+    # and oracles.sinc_oracle, asserted (and tripped) in test_selfcheck.py
     t0 = time.monotonic()
-    selfcheck.stft_roundtrip()
-    selfcheck.sinc_oracle()
-
     t = np.arange(44100) / 44100
     hi_tone = AudioBuffer(0.5 * np.sin(2 * np.pi * 15000 * t), 44100)
     down = dsp.downsample(hi_tone, 2)
@@ -307,7 +307,7 @@ def test_03_dsp_oracles():
 
 
 def test_04_lsd_oracle():
-    selfcheck.lsd_oracle()
+    # the loop-form reference is oracles.lsd_oracle, asserted in test_selfcheck.py
     x = AudioBuffer(np.random.default_rng(21).normal(size=16384) * 0.2, 44100)
     scaled = AudioBuffer(10.0 * x.samples, 44100)
     assert abs(metrics.lsd(x, scaled) - 2.0) < 1e-9
@@ -394,8 +394,8 @@ def test_07_gan_structure():
                                            disc, x, 0)
     for a, b in zip(feats_a, feats_b):
         np.testing.assert_array_equal(a.data, b.data)
-
-    selfcheck.group_independence()
+    # group independence is oracles.group_independence, asserted in
+    # test_selfcheck.py
 
 
 # ---------------------------------------------------------------------------

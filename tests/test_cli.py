@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from upband import checkpoint, cli, data, dsp, selfcheck, tensor as tt, training
+from upband import checkpoint, cli, data, dsp, training
 from upband.config import load_config, render_config
 from upband.errors import ConfigError
 
@@ -56,6 +56,12 @@ def test_import_loads_no_scipy():
                       "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_removed_check_command_exit_2():
+    proc = run_module("check")
+    assert proc.returncode == 2
+    assert "invalid choice: 'check'" in proc.stderr and "Traceback" not in proc.stderr
 
 
 class TestConfig:
@@ -388,19 +394,3 @@ class TestCliEvaluate:
         proc = run_module("evaluate", "--baseline", "--corpus", str(cli_corpus), "--seed", "7")
         assert proc.returncode == 2 and "unrecognized arguments: --seed" in proc.stderr
 
-
-class TestCliCheck:
-    def test_fresh_build_passes(self, capsys):
-        assert cli.main(["check"]) == 0
-        lines = capsys.readouterr().out.splitlines()
-        assert lines == [f"{name}: ok" for name, _ in selfcheck.SUITES]
-
-    def test_corrupted_gradient_negative_control(self, capsys, monkeypatch):
-        # skew the finite-difference oracle so the real comparison must trip
-        oracle = tt.numeric_gradient
-        monkeypatch.setattr(tt, "numeric_gradient",
-                            lambda fn, inputs, eps=None: [g + 1.0 for g in
-                                                          oracle(fn, inputs, eps=eps)])
-        assert cli.main(["check"]) == 4
-        out = capsys.readouterr().out
-        assert "gradcheck: FAIL" in out

@@ -13,6 +13,7 @@ from upband.tensor import Tensor
 from upband.training import TrainConfig, TrainState
 
 from conftest import tiny_disc_cfg, tiny_gen_cfg
+from oracles import check_gradients
 
 
 class TestConfigs:
@@ -261,5 +262,5 @@ class TestSpectralNormalize:
             return tt.tsum(tt.mul(spectral_normalize(ins[0], sn, "w", update=False),
                                   proj))
 
-        err = tt.check_gradients(fn, [w], rel_tol=1e-5)
+        err = check_gradients(fn, [w], rel_tol=1e-5)
         assert err < 1e-5

@@ -10,6 +10,8 @@ from upband.errors import ConfigError, NumericError, ShapeError
 from upband.model import KERNEL, STRIDE
 from upband.tensor import Tensor
 
+from oracles import check_gradients
+
 
 def t64(arr, grad=True):
     return Tensor(np.asarray(arr), requires_grad=grad, dtype=np.float64)
@@ -37,7 +39,7 @@ class TestMatmul:
     def test_gradcheck(self):
         rng = np.random.default_rng(1)
         ins = [t64(rng.normal(size=(3, 4))), t64(rng.normal(size=(4, 2)))]
-        err = tt.check_gradients(lambda x: tt.tsum(tt.matmul(x[0], x[1])), ins, rel_tol=1e-6)
+        err = check_gradients(lambda x: tt.tsum(tt.matmul(x[0], x[1])), ins, rel_tol=1e-6)
         assert err < 1e-6
 
     def test_refuses_2d_times_batched(self):
@@ -97,8 +99,8 @@ class TestProjection:
     def test_four_dim_input(self):
         rng = np.random.default_rng(4)
         x, w = t64(rng.normal(size=(2, 3, 5, 7))), t64(rng.normal(size=(7, 4)))
-        err = tt.check_gradients(lambda i: tt.tsum(tt.mul(tt.matmul(i[0], i[1]), 1.5)),
-                                 [x, w], rel_tol=1e-6)
+        err = check_gradients(lambda i: tt.tsum(tt.mul(tt.matmul(i[0], i[1]), 1.5)),
+                              [x, w], rel_tol=1e-6)
         assert err < 1e-6
         np.testing.assert_allclose(tt.matmul(x, w).data, np.matmul(x.data, w.data), rtol=1e-12)
 
@@ -283,7 +285,7 @@ class TestConv1dGrouped:
         rng = np.random.default_rng(4)
         ins = [t64(rng.normal(size=(2, 8, 12))), t64(rng.normal(size=(8, 2, 4))),
                t64(rng.normal(size=8))]
-        err = tt.check_gradients(
+        err = check_gradients(
             lambda x: tt.tsum(tt.conv1d_grouped(x[0], x[1], x[2], stride=2, padding=1,
                                                 groups=4)),
             ins, rel_tol=1e-6)
@@ -457,7 +459,7 @@ class TestLayerNorm:
         ins = [Tensor(rng.normal(size=(3, 8)), requires_grad=True) for _ in range(2)]
         ins.insert(1, Tensor(rng.normal(size=8), requires_grad=True))
         ins.insert(2, Tensor(rng.normal(size=8), requires_grad=True))
-        err = tt.check_gradients(
+        err = check_gradients(
             lambda x: tt.tsum(tt.mul(tt.layer_norm(x[0], x[1], x[2]), x[3])),
             ins, rel_tol=1e-3)
         assert err < 1e-3
@@ -487,11 +489,11 @@ class TestBackward:
         kept = tt.active_tape().nodes[2:]
         tt.backward(first)
         assert tt.active_tape().nodes == kept
-        x.zero_grad()
+        x.grad = None
         tt.backward(second)
         assert not tt.active_tape().nodes
         shared = x.grad
-        x.zero_grad()
+        x.grad = None
         tt.backward(tt.tsum(tt.mul(tt.gelu(x), 3.0)))
         np.testing.assert_array_equal(shared, x.grad)
 
@@ -544,5 +546,21 @@ def test_scalar_operand_takes_tensor_dtype(dtype):
 def test_primitive_gradcheck(name, fn, shapes):
     rng = np.random.default_rng(zlib.crc32(name.encode()))
     ins = [t64(rng.normal(size=s)) for s in shapes]
-    err = tt.check_gradients(fn, ins, rel_tol=1e-6)
+    err = check_gradients(fn, ins, rel_tol=1e-6)
     assert err < 1e-6
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_leaky_relu_bytes_match_select_form(dtype):
+    # reference: the scale as np.where(x > 0, 1.0, slope) cast to x's dtype
+    rng = np.random.default_rng(6)
+    x = rng.normal(size=(8, 128, 64)).astype(dtype)
+    x.reshape(-1)[:6] = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf]
+    g = rng.normal(size=x.shape).astype(dtype)
+    scale = np.where(x > 0, 1.0, 0.2).astype(dtype)
+    t = Tensor(x, requires_grad=True)
+    out = tt.leaky_relu(t, 0.2)
+    tt.backward(tt.tsum(tt.mul(out, g)))
+    assert out.dtype == dtype and t.grad.dtype == dtype
+    assert out.data.tobytes() == (x * scale).tobytes()
+    assert t.grad.tobytes() == (g * scale).tobytes()
