@@ -1,8 +1,9 @@
 """Adversarial training loop.
 
 Per step: one discriminator update (hinge loss on real vs detached fake),
-then one generator update (hinge adversarial term plus weighted feature
-matching), both with Adam at the published learning rates and beta1 = 0.
+then one generator update (hinge adversarial term plus feature matching
+weighted ``FM_WEIGHT``), both with Adam at beta1 = 0 and the constant
+learning rates ``LR_G`` and ``LR_D``.
 At beta1 = 0 Adam's first moment is the gradient itself, so only the
 second moments are kept, and the step count is the training step's.
 """
@@ -10,7 +11,6 @@ second moments are kept, and the step count is the training step's.
 from __future__ import annotations
 
 import json
-import math
 import time
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
@@ -29,16 +29,17 @@ from .tensor import Tensor
 
 
 # Adam (Kingma & Ba 2015) at beta1 = 0, as GAN training since BigGAN (Brock
-# et al. 2019) runs it
+# et al. 2019) runs it, with the two-timescale learning rates of SAGAN (Zhang
+# et al. 2019); feature matching weighted as in MelGAN (Kumar et al. 2019)
 BETA2 = 0.999
 EPS = 1e-8
+LR_G = 1e-4
+LR_D = 4e-4
+FM_WEIGHT = 10.0
 
 
 @dataclass
 class TrainConfig:
-    lr_g: float = 1e-4
-    lr_d: float = 4e-4
-    fm_weight: float = 10.0
     batch_frames: int = 128
     batch_size: int = 8
     max_steps: int = 1000
@@ -46,13 +47,11 @@ class TrainConfig:
     checkpoint_interval: int = 500
 
     def __post_init__(self):
-        require_positive("TrainConfig", lr_g=self.lr_g, lr_d=self.lr_d,
-                         batch_frames=self.batch_frames, batch_size=self.batch_size)
-        if not (math.isfinite(self.fm_weight) and self.fm_weight >= 0):
-            raise ConfigError(f"TrainConfig: fm_weight must be finite and >= 0, "
-                              f"got {self.fm_weight}")
-        if self.seed < 0:
-            raise ConfigError(f"TrainConfig: seed must be >= 0, got {self.seed}")
+        require_positive("TrainConfig", batch_frames=self.batch_frames,
+                         batch_size=self.batch_size)
+        for name in ("max_steps", "seed", "checkpoint_interval"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"TrainConfig: {name} must be >= 0, got {getattr(self, name)}")
 
 
 def adam_step(params: dict[str, Tensor], names, v: dict[str, np.ndarray],
@@ -193,7 +192,6 @@ def train_step(state: TrainState, low: np.ndarray, high_real: np.ndarray) -> Ste
     if low.ndim != 3 or high_real.ndim != 3 or low.shape[:2] != high_real.shape[:2]:
         raise ShapeError(f"train_step: inconsistent batch shapes {low.shape} / {high_real.shape}")
     t0 = time.perf_counter()
-    cfg = state.train_cfg
     params, sn, disc_cfg = state.params, state.sn, state.disc_cfg
     dtype = params["gen.in.w"].dtype
     low, high_real = low.astype(dtype, copy=False), high_real.astype(dtype, copy=False)
@@ -208,7 +206,7 @@ def train_step(state: TrainState, low: np.ndarray, high_real: np.ndarray) -> Ste
                                              disc_cfg, both)
     d_loss = hinge_d_loss(d_logits)
     tt.backward(d_loss)
-    adam_step(params, discriminator_parameter_names(params), state.adam_d, cfg.lr_d,
+    adam_step(params, discriminator_parameter_names(params), state.adam_d, LR_D,
               state.step + 1)
 
     # -- generator update against the freshly updated discriminators
@@ -220,8 +218,8 @@ def train_step(state: TrainState, low: np.ndarray, high_real: np.ndarray) -> Ste
                                                          tt.concat([low_t, fake], axis=2))
     g_adv = hinge_g_loss(fake_logits)
     g_fm = feature_matching_loss(real_feats, fake_feats)
-    tt.backward(tt.add(g_adv, tt.mul(g_fm, cfg.fm_weight)))
-    adam_step(params, generator_parameter_names(params), state.adam_g, cfg.lr_g,
+    tt.backward(tt.add(g_adv, tt.mul(g_fm, FM_WEIGHT)))
+    adam_step(params, generator_parameter_names(params), state.adam_g, LR_G,
               state.step + 1)
 
     state.step += 1

@@ -69,7 +69,6 @@ class TestConfig:
         cfg = load_config(None)
         assert cfg.generator.d_model == 512
         assert cfg.discriminator.group_counts == (1, 4, 16, 64, 256)
-        assert cfg.train.lr_g == 1e-4 and cfg.train.lr_d == 4e-4
 
     def test_desk_preset(self):
         cfg = load_config(None, preset="desk")
@@ -132,6 +131,19 @@ class TestConfig:
             section, key = dest.split(".")
             cfg = load_config(None, overrides={dest: "1"})
             assert str(getattr(getattr(cfg, section), key)) in ("1", "1.0"), dest
+
+    @pytest.mark.parametrize("key", ["max_steps", "checkpoint_interval"])
+    def test_step_counts_zero_accepted_negative_refused(self, key):
+        assert getattr(load_config(None, overrides={f"train.{key}": 0}).train, key) == 0
+        with pytest.raises(ConfigError, match=key):
+            load_config(None, overrides={f"train.{key}": -7})
+
+    @pytest.mark.parametrize("preset", ["default", "desk"])
+    def test_render_omits_constants(self, preset):
+        text = render_config(load_config(None, preset=preset))
+        keys = [line.split(" = ")[0] for line in text.splitlines() if " = " in line]
+        assert not {"lr_g", "lr_d", "fm_weight"} & set(keys)
+        assert len(keys) == 19
 
     def test_render_round_trip(self, tmp_path):
         cfg = load_config(write_cfg(tmp_path))
@@ -207,19 +219,24 @@ class TestCliTrain:
         ("train", "[discriminator]\ngroup_counts = 1, 0"),
         ("train", "[train]\nbatch_size = 0"),
         ("train", "[train]\nbatch_frames = 0"),
-        ("train", "[train]\nlr_g = nan"),
+        ("train", "[train]\nlr_g = 1e-4"),
+        ("train", "[train]\nlr_d = 4e-4"),
         ("train", "[train]\nbeta1 = 0.9"),
         ("train", "[discriminator]\nkernel = 4"),
-        ("train", "[train]\nfm_weight = nan"),
+        ("train", "[train]\nfm_weight = 10"),
         ("evaluate", "[lsd]\nn_fft = 0"),
         ("train", "[data]\nheldout_fraction = nan"),
         ("evaluate", "[data]\nheldout_fraction = -0.5"),
         ("train", "[data]\nheldout_fraction = 1.5"),
         ("train", "[train]\nseed = -1"),
         ("train", "--seed -1"),
+        ("train", "[train]\nmax_steps = -1"),
+        ("train", "[train]\ncheckpoint_interval = -1"),
     ], ids=["n_heads", "odd_d_model", "channels", "group_count", "batch_size", "batch_frames",
-            "lr_g", "removed_beta1", "removed_kernel", "fm_weight", "lsd_n_fft", "heldout_nan",
-            "heldout_negative", "heldout_above_one", "seed_in_file", "train_seed_option"])
+            "removed_lr_g", "removed_lr_d", "removed_beta1", "removed_kernel",
+            "removed_fm_weight", "lsd_n_fft", "heldout_nan", "heldout_negative",
+            "heldout_above_one", "seed_in_file", "train_seed_option", "max_steps_negative",
+            "checkpoint_interval_negative"])
     def test_bad_config_value_exit_1(self, cli_corpus, tmp_path, command, text):
         # text is either the config file or, starting with "--", options
         options = text.split() if text.startswith("--") else []

@@ -265,8 +265,10 @@ def _reference_step(state, adam, low, high_real):
     """The training step written out plainly, kept as an oracle: the
     generator runs once per phase, the discriminator weights are normalized
     for each of the three passes, each phase clears the whole tape and every
-    gradient, and ``adam`` maps "g" and "d" to the full Adam of ParentAdam."""
-    cfg, params, sn, disc = state.train_cfg, state.params, state.sn, state.disc_cfg
+    gradient, and ``adam`` maps "g" and "d" to the full Adam of ParentAdam. The
+    learning rates and the feature-matching weight are written out, so that a
+    changed constant in ``training`` fails the comparison."""
+    params, sn, disc = state.params, state.sn, state.disc_cfg
     real_full = np.concatenate([low, high_real], axis=2)
 
     def clear():
@@ -282,7 +284,7 @@ def _reference_step(state, adam, low, high_real):
                                              disc, Tensor(np.concatenate([real_full, fake_full])))
     d_loss = hinge_d_loss(d_logits)
     tt.backward(d_loss)
-    adam["d"].step(params, discriminator_parameter_names(params), cfg.lr_d)
+    adam["d"].step(params, discriminator_parameter_names(params), 4e-4)
     clear()
 
     fake_t = generator_forward(params, state.gen_cfg, Tensor(low))
@@ -294,8 +296,8 @@ def _reference_step(state, adam, low, high_real):
             discriminator_weights(params, sn, update=False), disc, Tensor(real_full))
     g_adv = hinge_g_loss(logits)
     g_fm = feature_matching_loss(real_feats, fake_feats)
-    tt.backward(tt.add(g_adv, tt.mul(g_fm, cfg.fm_weight)))
-    adam["g"].step(params, generator_parameter_names(params), cfg.lr_g)
+    tt.backward(tt.add(g_adv, tt.mul(g_fm, 10.0)))
+    adam["g"].step(params, generator_parameter_names(params), 1e-4)
     clear()
     state.step += 1
     return d_loss.item(), g_adv.item(), g_fm.item()
@@ -350,8 +352,9 @@ def test_d_loss_equals_two_pass_hinge_through_shared_weights(small_examples):
         assert report.d_loss == pytest.approx(two_pass, rel=1e-6)
 
 
-def test_zero_fm_weight_leaves_tape_empty(small_examples):
-    cfg = TrainConfig(batch_size=1, batch_frames=16, seed=0, fm_weight=0.0)
+def test_zero_fm_weight_leaves_tape_empty(small_examples, monkeypatch):
+    monkeypatch.setattr(training, "FM_WEIGHT", 0.0)
+    cfg = TrainConfig(batch_size=1, batch_frames=16, seed=0)
     state = TrainState.fresh(tiny_gen_cfg(), tiny_disc_cfg(), cfg)
     low, high = sample_batch(small_examples, np.random.default_rng(0), 1, 16)
     train_step(state, low, high)
