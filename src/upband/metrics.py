@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dsp import SAMPLE_RATE, AudioBuffer, stft
+from .dsp import SAMPLE_RATE, AudioBuffer, _stft_segments, stft
 from .errors import DataError, require_positive
 
 POWER_FLOOR = 1e-10
@@ -27,38 +27,52 @@ class LsdConfig:
         require_positive("LsdConfig", n_fft=self.n_fft, hop=self.hop)
 
 
-def _log_power(audio: AudioBuffer, cfg: LsdConfig) -> np.ndarray:
-    power = np.abs(stft(audio, n_fft=cfg.n_fft, hop=cfg.hop))
+def _log_power(x: np.ndarray, sample_rate: int, samples: slice, frames: slice,
+               cfg: LsdConfig) -> np.ndarray:
+    """Base-10 log power of frames ``frames`` of the STFT of ``x[samples]``."""
+    power = np.abs(stft(AudioBuffer(x[samples], sample_rate), n_fft=cfg.n_fft,
+                        hop=cfg.hop)[frames])
     np.square(power, out=power)
     np.maximum(power, POWER_FLOOR, out=power)
     return np.log10(power, out=power)
 
 
-def _aligned(reference: AudioBuffer, approx: AudioBuffer) -> tuple[AudioBuffer, AudioBuffer]:
+def _frame_distances(x: np.ndarray, y: np.ndarray, sample_rate: int, samples: slice,
+                     frames: slice, cfg: LsdConfig) -> np.ndarray:
+    """Per-frame RMS log-power difference over one segment's frames."""
+    d = _log_power(x, sample_rate, samples, frames, cfg)
+    d -= _log_power(y, sample_rate, samples, frames, cfg)
+    np.square(d, out=d)
+    return np.sqrt(np.mean(d, axis=1))
+
+
+def _aligned(reference: AudioBuffer, approx: AudioBuffer) -> tuple[np.ndarray, np.ndarray]:
+    """Both signals' samples, trimmed to the shorter one's length."""
     if reference.sample_rate != approx.sample_rate:
         raise DataError(f"sample-rate mismatch: {reference.sample_rate} vs {approx.sample_rate}")
     n = min(len(reference), len(approx))
-    return (AudioBuffer(reference.samples[:n], reference.sample_rate),
-            AudioBuffer(approx.samples[:n], approx.sample_rate))
+    return reference.samples[:n], approx.samples[:n]
 
 
 def lsd(reference: AudioBuffer, approx: AudioBuffer, cfg: LsdConfig = LsdConfig()) -> float:
-    reference, approx = _aligned(reference, approx)
-    x = _log_power(reference, cfg)
-    y = _log_power(approx, cfg)
-    x -= y
-    np.square(x, out=x)
-    per_frame = np.sqrt(np.mean(x, axis=1))
-    return float(np.mean(per_frame))
+    """Mean over frames of the per-frame RMS log-power difference. Both
+    signals go through ``stft`` one frame block at a time, each block
+    reduced to its frames' values before the next, so neither whole
+    spectrogram is held; the values are those of whole-signal STFTs."""
+    x, y = _aligned(reference, approx)
+    sr = reference.sample_rate
+    per_frame = [_frame_distances(x, y, sr, samples, frames, cfg)
+                 for samples, frames in _stft_segments(len(x), cfg.n_fft, cfg.hop)]
+    return float(np.mean(np.concatenate(per_frame)))
 
 
 def snr(reference: AudioBuffer, approx: AudioBuffer) -> float:
     """10 log10(signal power / error power) in dB; +inf for exact equality."""
-    reference, approx = _aligned(reference, approx)
-    sig = float(np.sum(reference.samples ** 2))
+    x, y = _aligned(reference, approx)
+    sig = float(np.sum(x ** 2))
     if sig == 0.0:
         raise DataError("snr: reference signal is all-zero")
-    err = float(np.sum((reference.samples - approx.samples) ** 2))
+    err = float(np.sum((x - y) ** 2))
     if err == 0.0:
         return math.inf
     return 10.0 * math.log10(sig / err)

@@ -5,8 +5,11 @@ conditioning bins of each frame to the 256 missing upper bins. The
 discriminators are five spectrally-normalized convolutional stacks over
 full 513-bin frames; each one partitions its channels into a different
 number of groups so it specializes on a different frequency granularity.
-``discriminator_weights`` normalizes their weights once per weight state,
-and the discriminator forwards take the dict it returns.
+``discriminator_weights`` normalizes their weights, and the discriminator
+forwards take the dict it returns. A training step calls it twice, once per
+phase, so each weight state is normalized twice: in step t's generator
+phase, then again, bit for bit, in step t + 1's discriminator phase, from
+the same u vectors and weights.
 
 The paper-level constants (6 transformer layers, group counts 1/4/16/64/256)
 live in the config defaults, as do the widths the source material leaves
@@ -107,9 +110,9 @@ def spectral_normalize(weight: Tensor, sn: dict[str, np.ndarray], name: str,
     sigma = max(sigma, 1e-12)
     out = weight.data / sigma
 
-    uvT = np.outer(u, v).reshape(weight.shape)
-
     def bwd(g):
+        # u v^T is built here, so the no_grad calls, whose backward never runs, skip it
+        uvT = np.outer(u, v).reshape(weight.shape)
         coeff = float(np.sum(g * weight.data)) / (sigma * sigma)
         return ((g / sigma - coeff * uvT).astype(weight.dtype),)
 

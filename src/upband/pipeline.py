@@ -5,7 +5,11 @@ prediction of the upper 256 log-magnitude bins from the lower 257, then
 inverse STFT of the interpolated spectrum with its upper magnitudes
 replaced by the prediction, every bin keeping the interpolated phase.
 The spectral stages walk the file in blocks of whole generator windows,
-so their working memory does not grow with the file's length.
+so their working memory does not grow with the file's length. Inside a
+block, the largest arrays are its complex spectrum, kept for its phase,
+and the generator's windows; ``dsp.stft`` and ``dsp.reconstruct_full``
+run in frame blocks of ``dsp.FRAME_BLOCK`` bytes, so they add no other
+array of the block's size.
 """
 
 from __future__ import annotations
@@ -31,17 +35,6 @@ def _window_starts(n_frames: int, max_frames: int) -> tuple[np.ndarray, int]:
     n = -(-n_frames // max_frames)
     length = -(-n_frames // n)
     return np.minimum(np.arange(n) * length, n_frames - length), length
-
-
-def _stft_frames(samples: np.ndarray, sample_rate: int, start: int, stop: int) -> np.ndarray:
-    """Frames [start, stop) of ``dsp.stft`` over all of ``samples``,
-    byte-identical to it: the STFT of the samples those frames read plus
-    HALO frames of context on each side, the context's own frames dropped.
-    At least N_FFT samples go in, so reflect padding at an end of
-    ``samples`` is the same as the whole signal's."""
-    first = max(min(start - HALO, (len(samples) - dsp.N_FFT) // dsp.HOP), 0)
-    segment = samples[first * dsp.HOP:(stop + HALO - 1) * dsp.HOP]
-    return dsp.stft(AudioBuffer(segment, sample_rate))[start - first:stop - first]
 
 
 def upsample_buffer(audio: AudioBuffer, model_fn=None) -> AudioBuffer:
@@ -86,12 +79,14 @@ def upsample_buffer(audio: AudioBuffer, model_fn=None) -> AudioBuffer:
         first = windows[0]
         final = starts[k + per_block] if k + per_block < len(starts) else n_frames
         origin = max(first - LEAD_IN, 0)
-        spec = _stft_frames(x, sr, origin, windows[-1] + length)
-        low = dsp.to_log_magnitude(np.abs(spec[:, :dsp.LOW_BINS]))
+        # the block's frames, byte-identical to a whole-file STFT's
+        segment, kept = dsp._segment(len(x), origin, windows[-1] + length)
+        spec = dsp.stft(AudioBuffer(x[segment], sr))[kept]
         frames = (windows - origin)[:, None] + np.arange(length)
-        # high is not alive through the forward, nor pred through the
-        # reconstruction: each stage's working set stays at a single pass's
-        pred = model_fn(low[frames])
+        # neither the log magnitudes nor high are alive through the forward,
+        # nor pred through the reconstruction: each stage's working set
+        # stays at a single pass's
+        pred = model_fn(dsp.to_log_magnitude(np.abs(spec[:, :dsp.LOW_BINS]))[frames])
         high = np.empty((len(spec), dsp.HIGH_BINS))
         high[:first - origin] = tail
         high[frames] = pred
@@ -107,5 +102,5 @@ def upsample_buffer(audio: AudioBuffer, model_fn=None) -> AudioBuffer:
         # a copy, so that this block's arrays go before the next block's
         # STFT and forward allocate theirs
         tail = high[max(used - LEAD_IN, 0):used].copy()
-        del spec, low, high, block
+        del spec, high, block
     return AudioBuffer(out[:n], sr)

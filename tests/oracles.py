@@ -90,12 +90,59 @@ def sinc_oracle() -> None:
         raise NumericError(f"sinc: 1 kHz tone max error {err:.2e} >= 1e-3")
 
 
+def istft_one_shot(spec: np.ndarray, hop: int = dsp.HOP) -> np.ndarray:
+    """``dsp.istft`` as one pass over all frames: every frame's inverse
+    transform at once, overlap-added in frame order."""
+    n_fft = 2 * (spec.shape[1] - 1)
+    window = dsp._hann_periodic(n_fft)
+    n_frames, pieces = spec.shape[0], n_fft // hop
+    frames = (np.fft.irfft(spec, n=n_fft, axis=1) * window).reshape(n_frames, pieces, hop)
+    wsq_pieces = (window * window).reshape(pieces, hop)
+    y = np.zeros((n_frames + pieces - 1, hop))
+    norm = np.zeros_like(y)
+    for j in range(pieces - 1, -1, -1):
+        y[j:j + n_frames] += frames[:, j]
+        norm[j:j + n_frames] += wsq_pieces[j]
+    y, norm = y.reshape(-1), norm.reshape(-1)
+    np.divide(y, norm, out=y, where=norm > 1e-10)
+    pad = n_fft // 2
+    return y[pad:len(y) - pad]
+
+
+def reconstruct_one_shot(spec: np.ndarray, high: np.ndarray) -> np.ndarray:
+    """``dsp.reconstruct_full``'s samples from the whole rescaled spectrum
+    at once, put through ``istft_one_shot``."""
+    magnitude = np.abs(spec)
+    scale = np.empty_like(magnitude)
+    scale[:, :dsp.LOW_BINS] = np.maximum(magnitude[:, :dsp.LOW_BINS], dsp.LOG_MAG_FLOOR)
+    scale[:, dsp.LOW_BINS:] = np.exp(high)
+    silent = magnitude == 0.0
+    np.divide(scale, magnitude, out=scale, where=~silent)
+    full = spec * scale
+    full[silent] = scale[silent]
+    return np.clip(istft_one_shot(full), -1.0, 1.0)
+
+
+def log_power_one_shot(audio: AudioBuffer, cfg: metrics.LsdConfig) -> np.ndarray:
+    """Base-10 log power spectrogram of the whole signal, floored as
+    ``metrics.lsd`` floors it."""
+    power = np.square(np.abs(dsp.stft(audio, n_fft=cfg.n_fft, hop=cfg.hop)))
+    return np.log10(np.maximum(power, metrics.POWER_FLOOR))
+
+
+def lsd_one_shot(reference: AudioBuffer, approx: AudioBuffer,
+                 cfg: metrics.LsdConfig = metrics.LsdConfig()) -> float:
+    """``metrics.lsd`` over both whole log power spectrograms at once."""
+    x, y = (AudioBuffer(a, reference.sample_rate) for a in metrics._aligned(reference, approx))
+    diff = log_power_one_shot(x, cfg) - log_power_one_shot(y, cfg)
+    return float(np.mean(np.sqrt(np.mean(np.square(diff), axis=1))))
+
+
 def lsd_direct(reference: AudioBuffer, approx: AudioBuffer) -> float:
     """``metrics.lsd`` written as explicit frame and bin loops."""
     cfg = metrics.LsdConfig()
-    reference, approx = metrics._aligned(reference, approx)
-    x = metrics._log_power(reference, cfg)
-    y = metrics._log_power(approx, cfg)
+    x, y = (log_power_one_shot(AudioBuffer(a, reference.sample_rate), cfg)
+            for a in metrics._aligned(reference, approx))
     n_frames, n_bins = x.shape
     acc = 0.0
     for l in range(n_frames):

@@ -6,6 +6,8 @@ from upband.dsp import (AudioBuffer, downsample, istft, reconstruct_full, sinc_u
                         to_log_magnitude)
 from upband.errors import DataError, ShapeError
 
+import oracles
+
 
 def tone(freq, sr, seconds=1.0, amp=0.5):
     t = np.arange(int(sr * seconds)) / sr
@@ -120,6 +122,71 @@ class TestStft:
         x = np.random.default_rng(extra).normal(size=n_fft + extra)
         spec = stft(AudioBuffer(x, 44100), n_fft, hop)
         assert spec.tobytes() == self._gathered(x, n_fft, hop).tobytes()
+
+
+def _block_counts(n_fft):
+    """One frame, a frame block's less one, a block's, one more, and three
+    blocks' plus five."""
+    b = dsp._block_frames(n_fft)
+    return [1, b - 1, b, b + 1, 3 * b + 5]
+
+
+def _block_lengths(n_fft, hop):
+    """Signal lengths whose STFTs have the fewest frames, then each of the
+    other ``_block_counts``."""
+    return [n_fft] + [(k - 1) * hop + 7 for k in _block_counts(n_fft)[1:]]
+
+
+class TestFrameBlocks:
+    @pytest.mark.parametrize("n_fft,hop", [(1024, 256), (2048, 512)])
+    def test_stft_bytes_at_block_boundaries(self, n_fft, hop):
+        for n in _block_lengths(n_fft, hop):
+            x = np.random.default_rng(n).normal(size=n)
+            spec = stft(AudioBuffer(x, 44100), n_fft, hop)
+            assert spec.tobytes() == TestStft._gathered(x, n_fft, hop).tobytes(), n
+
+    def test_one_block_is_one_transform(self, monkeypatch):
+        n = (dsp._block_frames(dsp.N_FFT) - 1) * dsp.HOP
+        calls = []
+        rfft = np.fft.rfft
+        monkeypatch.setattr(np.fft, "rfft", lambda a, *args, **kw: calls.append(a.shape) or
+                            rfft(a, *args, **kw))
+        stft(AudioBuffer(np.zeros(n), 44100))
+        assert calls == [(dsp._block_frames(dsp.N_FFT), dsp.N_FFT)]
+
+    @pytest.mark.parametrize("n_bins,hop", [(513, 256), (1025, 512)])
+    def test_istft_bytes_at_block_boundaries(self, n_bins, hop):
+        for n_frames in _block_counts(2 * (n_bins - 1)):
+            rng = np.random.default_rng(n_frames)
+            spec = rng.normal(size=(n_frames, n_bins)) + 1j * rng.normal(size=(n_frames, n_bins))
+            assert istft(spec, hop).tobytes() == oracles.istft_one_shot(spec, hop).tobytes()
+
+    @pytest.mark.parametrize("n_frames", _block_counts(dsp.N_FFT))
+    def test_reconstruct_bytes_at_block_boundaries(self, n_frames):
+        rng = np.random.default_rng(n_frames)
+        spec = rng.normal(size=(n_frames, 513)) + 1j * rng.normal(size=(n_frames, 513))
+        spec[::5, ::11] = 0.0  # silent bins take their target at phase 0
+        high = rng.uniform(-4.0, 1.5, size=(n_frames, 256))  # loud enough to clamp
+        out = reconstruct_full(spec, high, 44100)
+        assert out.samples.tobytes() == oracles.reconstruct_one_shot(spec, high).tobytes()
+
+    @pytest.mark.parametrize("n_fft,hop", [(1024, 256), (2048, 512), (1000, 300), (999, 250)])
+    def test_segments_hold_the_whole_signals_frames(self, n_fft, hop):
+        n = 3 * dsp._block_frames(n_fft) * hop + 123
+        x = np.random.default_rng(n_fft).normal(size=n)
+        whole = stft(AudioBuffer(x, 44100), n_fft, hop)
+        pieces = list(dsp._stft_segments(n, n_fft, hop))
+        assert len(pieces) > 3
+        got = [stft(AudioBuffer(x[samples], 44100), n_fft, hop)[frames]
+               for samples, frames in pieces]
+        assert all(len(stft(AudioBuffer(x[samples], 44100), n_fft, hop))
+                   <= dsp._block_frames(n_fft) for samples, _ in pieces[:-1])
+        assert np.concatenate(got).tobytes() == whole.tobytes()
+        for start, stop in ((0, 1), (1, 2), (5, 9), (len(whole) - 1, len(whole)),
+                            (len(whole) - 3, len(whole))):
+            samples, frames = dsp._segment(n, start, stop, n_fft, hop)
+            part = stft(AudioBuffer(x[samples], 44100), n_fft, hop)[frames]
+            assert part.tobytes() == whole[start:stop].tobytes(), (start, stop)
 
 
 class TestIstft:

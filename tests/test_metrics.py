@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from upband import data, metrics
+from upband import data, dsp, metrics
 from upband.dsp import AudioBuffer
 from upband.errors import DataError
 from upband.metrics import EvalReport, LsdConfig, evaluate_corpus, lsd, snr
+
+import oracles
 
 
 def noise(seed, n=16384, amp=0.2, sr=44100):
@@ -31,6 +33,25 @@ class TestLsd:
         x = noise(2, n=16384)
         y = AudioBuffer(x.samples[:12000], x.sample_rate)
         assert lsd(x, y) == lsd(AudioBuffer(x.samples[:12000], x.sample_rate), y)
+
+
+    @pytest.mark.parametrize("n_fft,hop", [(2048, 512), (1024, 256), (1000, 300)])
+    def test_bytes_match_one_shot_at_block_boundaries(self, n_fft, hop):
+        # frame counts around whole frame blocks and around the shorter runs
+        # whose segments, context frames included, are one block each
+        cfg = LsdConfig(n_fft=n_fft, hop=hop)
+        block = dsp._block_frames(n_fft)
+        run = block - 2 * -(-n_fft // (2 * hop))
+        counts = [1 + n_fft // hop, run - 1, run, run + 1, block - 1, block, block + 1,
+                  3 * block + 5]
+        for k in counts:
+            n = max(n_fft, (k - 1) * hop + 5)
+            x, y = noise(k, n=n), noise(k + 1, n=n + 300, amp=0.05)
+            assert lsd(x, y, cfg) == oracles.lsd_one_shot(x, y, cfg), k
+
+    def test_shorter_than_one_frame_rejected(self):
+        with pytest.raises(DataError, match="shorter than n_fft"):
+            lsd(noise(0, n=2000), noise(1, n=2000))
 
 
 class TestSnr:

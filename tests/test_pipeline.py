@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from upband import dsp, model, pipeline
+from upband import config, data, dsp, metrics, model, pipeline
 from upband.dsp import AudioBuffer
 from upband.model import init_parameters
 
@@ -133,3 +133,43 @@ class TestBlocks:
                 tracemalloc.stop()
         out_bytes = 8 * 2 * (200_000 - 100_000)
         assert (peaks[200_000] - peaks[100_000]) / out_bytes <= 6.0
+
+
+class TestPeakMemory:
+    """Traced peaks of the spectral calls on a 3 s clip at the ``desk``
+    preset, per byte of the clip's 44.1 kHz samples. Each whole-spectrogram
+    temporary would cost about 4 bytes per byte."""
+
+    BOUNDS = {"stft": 7.5, "reconstruct_full": 4.0, "lsd": 4.0, "upsample_buffer": 13.0}
+
+    @pytest.fixture(scope="class")
+    def calls(self):
+        cfg = config.load_config(None, preset="desk")
+        params, _ = init_parameters(cfg.generator, cfg.discriminator, seed=0)
+        fn = model.make_generator_fn(params, cfg.generator)
+        truth = data.synth_signal(np.random.default_rng(3), 3.0)
+        low = dsp.downsample(truth, 2)
+        interp = dsp.sinc_upsample(low, 2)
+        spec = dsp.stft(interp)
+        high = dsp.to_log_magnitude(np.abs(spec[:, dsp.LOW_BINS:]))
+        out = pipeline.upsample_buffer(low, fn)
+        starts, length = pipeline._window_starts(len(spec), fn.max_frames)
+        assert len(starts) <= pipeline.BLOCK_FRAMES // length  # one block
+        return truth.samples.nbytes, {
+            "stft": lambda: dsp.stft(interp),
+            "reconstruct_full": lambda: dsp.reconstruct_full(spec, high, interp.sample_rate),
+            "lsd": lambda: metrics.lsd(truth, out),
+            "upsample_buffer": lambda: pipeline.upsample_buffer(low, fn),
+        }
+
+    @pytest.mark.parametrize("name", list(BOUNDS))
+    def test_peak_per_clip_byte(self, calls, name):
+        clip_bytes, fns = calls
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            fns[name]()
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak / clip_bytes <= self.BOUNDS[name]
