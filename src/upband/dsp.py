@@ -76,6 +76,14 @@ class AudioBuffer:
     def duration(self) -> float:
         return len(self.samples) / self.sample_rate
 
+    @classmethod
+    def _unchecked(cls, samples: np.ndarray, sample_rate: int) -> "AudioBuffer":
+        """A buffer of float64 1-D ``samples`` already known to be finite,
+        such as a slice of another buffer's, built without checking them again."""
+        buf = object.__new__(cls)
+        buf.samples, buf.sample_rate = samples, sample_rate
+        return buf
+
 
 @functools.lru_cache(maxsize=8)
 def _hann_periodic(n: int) -> np.ndarray:

@@ -29,9 +29,10 @@ class LsdConfig:
 
 def _log_power(x: np.ndarray, sample_rate: int, samples: slice, frames: slice,
                cfg: LsdConfig) -> np.ndarray:
-    """Base-10 log power of frames ``frames`` of the STFT of ``x[samples]``."""
-    power = np.abs(stft(AudioBuffer(x[samples], sample_rate), n_fft=cfg.n_fft,
-                        hop=cfg.hop)[frames])
+    """Base-10 log power of frames ``frames`` of the STFT of ``x[samples]``,
+    whose samples an ``AudioBuffer`` has already checked."""
+    segment = AudioBuffer._unchecked(x[samples], sample_rate)
+    power = np.abs(stft(segment, n_fft=cfg.n_fft, hop=cfg.hop)[frames])
     np.square(power, out=power)
     np.maximum(power, POWER_FLOOR, out=power)
     return np.log10(power, out=power)

@@ -21,6 +21,7 @@ feed-forward layers and leaky-ReLU discriminator activations.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -198,13 +199,19 @@ def discriminator_parameter_names(params) -> list[str]:
 # generator
 
 
+@functools.lru_cache(maxsize=8)
 def sinusoidal_positions(n_frames: int, d_model: int) -> np.ndarray:
+    """Sine/cosine position codes [n_frames, d_model]; cached, since every
+    generator forward adds them; the returned array is read-only. Each row
+    depends only on its position, so a shorter table is a prefix, byte for
+    byte, of a longer one."""
     pos = np.arange(n_frames)[:, None]
     i = np.arange(d_model // 2)[None, :]
     angle = pos / np.power(10000.0, 2.0 * i / d_model)
     pe = np.zeros((n_frames, d_model), dtype=np.float32)
     pe[:, 0::2] = np.sin(angle)
     pe[:, 1::2] = np.cos(angle)
+    pe.flags.writeable = False
     return pe
 
 
@@ -225,7 +232,8 @@ def generator_forward(params: dict[str, Tensor], cfg: GeneratorConfig, low: Tens
     scale = 1.0 / math.sqrt(dh)
 
     h = tt.linear(low, params["gen.in.w"], params["gen.in.b"])
-    h = tt.add(h, sinusoidal_positions(T, d)[None])
+    # one cached table per context length serves windows of every length
+    h = tt.add(h, sinusoidal_positions(cfg.max_frames, d)[None, :T])
 
     for i in range(cfg.n_layers):
         p = f"gen.L{i}"
@@ -282,27 +290,27 @@ def discriminator_weights(params: dict[str, Tensor], sn: dict[str, np.ndarray],
 
 
 def discriminator_forward(weights: dict[str, Tensor], cfg: DiscriminatorConfig,
-                          full: Tensor, d_index: int) -> tuple[Tensor, list[Tensor]]:
+                          frames: Tensor, d_index: int) -> tuple[Tensor, list[Tensor]]:
     """One grouped discriminator over full-band frames.
 
-    ``weights`` comes from ``discriminator_weights``, ``full`` is [B, T, 513].
-    An ungrouped 1x1 projection maps the 513 bins to the channel width (513
-    is not divisible by the group counts), then ``n_layers`` grouped stride-2
-    convolutions, then a 1x1 map to per-window logits. Features are the
-    grouped-layer activations, in order.
+    ``weights`` comes from ``discriminator_weights``; ``frames`` is
+    channel-first [B, 513, T], bins before time, as the convolutions read
+    it. An ungrouped 1x1 projection maps the 513 bins to the channel width
+    (513 is not divisible by the group counts), then ``n_layers`` grouped
+    stride-2 convolutions, then a 1x1 map to per-window logits [B, T', 1].
+    Features are the grouped-layer activations, in order.
     """
     if not 0 <= d_index < cfg.n_discriminators:
         raise ConfigError(f"discriminator_forward: d_index {d_index} out of range "
                           f"[0, {cfg.n_discriminators})")
-    if full.ndim != 3 or full.shape[-1] != N_BINS:
-        raise ShapeError(f"discriminator_forward: expected [B, T, {N_BINS}] frames, "
-                         f"got {full.shape}")
-    x = tt.transpose(full, (0, 2, 1))  # [B, 513, T]
+    if frames.ndim != 3 or frames.shape[1] != N_BINS:
+        raise ShapeError(f"discriminator_forward: expected [B, {N_BINS}, T] frames, "
+                         f"got {frames.shape}")
     g = cfg.group_counts[d_index]
     p = f"disc{d_index}"
 
-    h = tt.leaky_relu(tt.conv1d_grouped(x, weights[f"{p}.proj.w"], weights[f"{p}.proj.b"]),
-                      LEAKY_SLOPE)
+    h = tt.leaky_relu(
+        tt.conv1d_grouped(frames, weights[f"{p}.proj.w"], weights[f"{p}.proj.b"]), LEAKY_SLOPE)
     features: list[Tensor] = []
     for i in range(1, cfg.n_layers + 1):
         h = tt.leaky_relu(
@@ -316,10 +324,14 @@ def discriminator_forward(weights: dict[str, Tensor], cfg: DiscriminatorConfig,
 
 
 def all_discriminators_forward(weights, cfg: DiscriminatorConfig, full: Tensor):
-    """Run every discriminator on the same input; independent logits/features."""
+    """Run every discriminator on the same [B, T, 513] input; independent
+    logits/features. The input is transposed to channel-first once for all
+    of them; in the backward pass their input gradients add up channel-first
+    and go through that one transpose."""
+    frames = tt.transpose(full, (0, 2, 1))  # [B, 513, T]
     logits, feats = [], []
     for j in range(cfg.n_discriminators):
-        lg, ft = discriminator_forward(weights, cfg, full, j)
+        lg, ft = discriminator_forward(weights, cfg, frames, j)
         logits.append(lg)
         feats.append(ft)
     return logits, feats

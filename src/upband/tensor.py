@@ -1,13 +1,15 @@
 """Reverse-mode automatic differentiation on flat numpy arrays.
 
 A module-level tape records every primitive applied to a tensor that
-requires gradients. ``backward`` replays the tape once in reverse,
-accumulates gradients additively into every requires-grad tensor on the
-path, and removes the loss's ancestors from the tape; other nodes stay for
-a later backward. Float32 is the working precision; float64 is used by the
-tests' finite-difference checker. The module needs numpy only: ``gelu``
-takes erf from a float32 rational approximation (GELU within 1.4e-6 of its
-float64 value) and, for float64 inputs, from ``math.erf``.
+requires gradients. ``backward`` replays the tape once in reverse and
+removes the loss's ancestors from it as it goes, each node with its saved
+arrays and its output gradient once its backward function has run; other
+nodes stay for a later backward. Gradients add into the ``.grad`` of the
+loss's leaves only, never of an intermediate tensor. Float32 is the
+working precision; float64 is used by the tests' finite-difference
+checker. The module needs numpy only: ``gelu`` takes erf from a float32
+rational approximation (GELU within 1.4e-6 of its float64 value) and, for
+float64 inputs, from ``math.erf``.
 
 Every operand of a primitive is a ``Tensor``, with one exception: the
 second operand of ``add``/``sub``/``mul`` is a tensor of the same shape, or
@@ -466,35 +468,59 @@ def layer_norm(x: Tensor, gain: Tensor, shift: Tensor, eps: float = 1e-5) -> Ten
 # backward
 
 
-def backward(loss: Tensor) -> None:
-    """Accumulate d(loss)/d(t) into t.grad for every requires-grad ancestor.
+def _add_input_grads(grads: dict[int, tuple[Tensor, np.ndarray]], inputs: Sequence[Tensor],
+                     in_grads) -> None:
+    """Add one node's input gradients into ``grads``, in input order."""
+    for inp, gin in zip(inputs, in_grads):
+        if not inp.requires_grad:
+            continue
+        key = id(inp)
+        if key in grads:
+            grads[key] = (inp, grads[key][1] + gin)
+        else:
+            grads[key] = (inp, gin)
 
-    The loss must be a scalar produced on the active tape. The nodes it
-    propagates through are removed from the tape, the rest stay: a node two
-    losses share is consumed by the first backward.
+
+def backward(loss: Tensor) -> None:
+    """Accumulate d(loss)/d(t) into t.grad for every leaf of the loss: each
+    requires-grad ancestor that no node of this pass produced, such as a
+    parameter or the output of a node an earlier backward consumed.
+    Intermediate tensors get no ``.grad``.
+
+    The loss must be a scalar produced on the active tape. The pass walks
+    the tape in reverse and frees as it goes: a node's output gradient
+    leaves the pass when the node is reached, and the node, with the arrays
+    its backward function saved, leaves the tape once that function has run.
+    The nodes off the loss's path stay, in order: a node two losses share is
+    consumed by the first backward. Leaf gradients are assigned at the end,
+    so if a backward function raises, no ``.grad`` changes and the tape
+    keeps, in order, every node not yet consumed, the failing one included.
     """
     if loss.size != 1:
         raise ShapeError(f"backward: loss must be scalar, got shape {loss.shape}")
-    if not any(n.out is loss for n in _tape.nodes):
+    nodes = _tape.nodes
+    if not any(n.out is loss for n in nodes):
         raise ShapeError("backward: loss was not produced on the active tape "
                          "(tape empty or already consumed)")
     grads: dict[int, tuple[Tensor, np.ndarray]] = {
         id(loss): (loss, np.ones_like(loss.data))
     }
-    for node in reversed(_tape.nodes):
-        entry = grads.get(id(node.out))
-        if entry is None:
-            continue
-        gout = entry[1]
-        in_grads = node.backward_fn(gout)
-        for inp, gin in zip(node.inputs, in_grads):
-            if not inp.requires_grad:
+    kept: list[_Node] = []  # the nodes off the loss's path, last first
+    try:
+        while nodes:
+            entry = grads.pop(id(nodes[-1].out), None)
+            if entry is None:
+                kept.append(nodes.pop())
                 continue
-            key = id(inp)
-            if key in grads:
-                grads[key] = (inp, grads[key][1] + gin)
-            else:
-                grads[key] = (inp, gin)
+            in_grads = nodes[-1].backward_fn(entry[1])
+            # the node leaves with its saved arrays, and its output gradient
+            # with it, before its input gradients are added up; those go
+            # before the next node's backward function runs
+            inputs = nodes.pop().inputs
+            del entry
+            _add_input_grads(grads, inputs, in_grads)
+            del in_grads
+    finally:
+        nodes.extend(reversed(kept))
     for tensor, g in grads.values():
         tensor.grad = g if tensor.grad is None else tensor.grad + g
-    _tape.nodes[:] = [n for n in _tape.nodes if id(n.out) not in grads]

@@ -384,7 +384,7 @@ def test_07_gan_structure():
     assert margins.item() == 0.0
 
     gen, disc, params, sn = _micro_model(3)
-    x = Tensor(np.random.default_rng(0).normal(size=(1, 8, 513)).astype(np.float32))
+    x = Tensor(np.random.default_rng(0).normal(size=(1, 513, 8)).astype(np.float32))
     with tt.no_grad():
         _, feats_a = discriminator_forward(discriminator_weights(params, sn, update=False),
                                            disc, x, 0)

@@ -93,6 +93,13 @@ class TestGenerator:
         unpermuted[perm] = permuted
         assert np.max(np.abs(base - unpermuted)) > 1e-4
 
+    def test_positions_cached_read_only(self):
+        pe = model.sinusoidal_positions(16, 8)
+        assert pe is model.sinusoidal_positions(16, 8) and not pe.flags.writeable
+        np.testing.assert_array_equal(pe[:, 0], np.sin(np.arange(16)).astype(np.float32))
+        for n in (1, 7, 15):
+            assert model.sinusoidal_positions(n, 8).tobytes() == pe[:n].tobytes()
+
     def test_zero_input_finite(self):
         gen = tiny_gen_cfg()
         params, _ = init_parameters(gen, tiny_disc_cfg(), seed=1)
@@ -182,7 +189,7 @@ class TestDiscriminator:
         params, sn = init_parameters(tiny_gen_cfg(), disc, seed=1)
         with tt.no_grad():
             weights = discriminator_weights(params, sn, update=False)
-            logits, _ = discriminator_forward(weights, disc, Tensor(np.zeros((1, 64, 513))), 0)
+            logits, _ = discriminator_forward(weights, disc, Tensor(np.zeros((1, 513, 64))), 0)
         assert logits.shape == (1, 4, 1)
 
     def test_features_exclude_projection_and_logits(self):
@@ -190,7 +197,7 @@ class TestDiscriminator:
         params, sn = init_parameters(tiny_gen_cfg(), disc, seed=1)
         with tt.no_grad():
             weights = discriminator_weights(params, sn, update=False)
-            _, feats = discriminator_forward(weights, disc, Tensor(np.zeros((1, 32, 513))), 1)
+            _, feats = discriminator_forward(weights, disc, Tensor(np.zeros((1, 513, 32))), 1)
         assert len(feats) == disc.n_layers
 
     def test_ensemble_size(self):
@@ -219,13 +226,19 @@ class TestDiscriminator:
         disc = tiny_disc_cfg()
         params, _ = init_parameters(tiny_gen_cfg(), disc, seed=1)
         with pytest.raises(ConfigError):
-            discriminator_forward(params, disc, Tensor(np.zeros((1, 32, 513))), 9)
+            discriminator_forward(params, disc, Tensor(np.zeros((1, 513, 32))), 9)
+
+    def test_time_first_input_rejected(self):
+        disc = tiny_disc_cfg()
+        params, _ = init_parameters(tiny_gen_cfg(), disc, seed=1)
+        with pytest.raises(ShapeError):
+            discriminator_forward(params, disc, Tensor(np.zeros((1, 32, 513))), 0)
 
     def test_unbatched_input_rejected(self):
         disc = tiny_disc_cfg()
         params, _ = init_parameters(tiny_gen_cfg(), disc, seed=1)
         with pytest.raises(ShapeError):
-            discriminator_forward(params, disc, Tensor(np.zeros((32, 513))), 0)
+            discriminator_forward(params, disc, Tensor(np.zeros((513, 32))), 0)
 
 
 def _unit_u(rows, rng):

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from upband import config, data, dsp, metrics, model, pipeline
+from upband import config, data, dsp, metrics, model, pipeline, training
 from upband.dsp import AudioBuffer
 from upband.model import init_parameters
 
@@ -173,3 +173,29 @@ class TestPeakMemory:
         finally:
             tracemalloc.stop()
         assert peak / clip_bytes <= self.BOUNDS[name]
+
+
+class TestTrainStepPeak:
+    """Traced peak of one ``desk`` train step after a first one, so Adam's
+    moments exist. Backward frees each node once it has run, and the five
+    discriminators share one transposed input; with the whole tape and every
+    node's gradient held until the end of each backward it was about 72 MiB."""
+
+    BOUND_MIB = 50.0
+
+    def test_desk_step_peak(self):
+        cfg = config.load_config(None, preset="desk")
+        state = training.TrainState.fresh(cfg.generator, cfg.discriminator, cfg.train)
+        rng = np.random.default_rng(0)
+        shape = (cfg.train.batch_size, cfg.train.batch_frames)
+        low = rng.normal(size=shape + (dsp.LOW_BINS,)).astype(np.float32)
+        high = rng.normal(size=shape + (dsp.HIGH_BINS,)).astype(np.float32)
+        training.train_step(state, low, high)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            training.train_step(state, low, high)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak / 2 ** 20 <= self.BOUND_MIB

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -511,6 +512,41 @@ class TestBackward:
         with pytest.raises(ShapeError):
             tt.backward(y)
 
+    def test_grad_lands_on_leaves_only(self):
+        x = t64([1.0, 2.0])
+        h = tt.mul(x, 3.0)
+        tt.backward(tt.tsum(tt.mul(h, h)))
+        assert h.grad is None
+        np.testing.assert_allclose(x.grad, [18.0, 36.0])
+
+    def test_consumed_output_is_a_leaf_of_a_later_loss(self):
+        x = t64([1.0, 2.0])
+        h = tt.mul(x, 3.0)
+        tt.backward(tt.tsum(h))
+        tt.backward(tt.tsum(tt.mul(h, 2.0)))
+        np.testing.assert_array_equal(h.grad, [2.0, 2.0])
+        np.testing.assert_array_equal(x.grad, [3.0, 3.0])
+
+    def test_raising_backward_keeps_the_unconsumed_nodes_in_order(self):
+        x = t64([1.0, -2.0])
+        b = tt.tabs(tt.mul(x, 2.0))
+        side = tt.mul(x, 3.0)
+        loss = tt.tsum(tt.add(b, 1.0))
+        nodes = list(tt.active_tape().nodes)  # mul, tabs, side, add, tsum
+
+        def fail(g):
+            raise NumericError("backward failed")
+
+        nodes[1].backward_fn = fail
+        with pytest.raises(NumericError):
+            tt.backward(loss)
+        # add and tsum ran and are gone; the failing tabs stays with what it needs
+        assert tt.active_tape().nodes == nodes[:3]
+        assert x.grad is None
+        tt.backward(tt.tsum(side))  # the kept nodes still serve a later loss
+        np.testing.assert_array_equal(x.grad, [3.0, 3.0])
+        assert tt.active_tape().nodes == nodes[:2]
+
     def test_no_grad_suppresses_recording(self):
         x = t64([1.0, 2.0])
         tt.reset_tape()
@@ -518,6 +554,32 @@ class TestBackward:
             y = tt.tsum(tt.mul(x, x))
         assert not tt.active_tape().nodes
         assert y.item() == 5.0
+
+
+class TestBackwardMemory:
+    """Backward frees each node, and its output gradient, once the node's
+    backward function has run, so its peak holds a few gradients however
+    deep the graph is."""
+
+    N = 1 << 18  # float32 elements: 1 MiB
+
+    @pytest.mark.parametrize("depth", [4, 64])
+    def test_peak_does_not_grow_with_depth(self, depth):
+        x = Tensor(np.ones(self.N, dtype=np.float32), requires_grad=True)
+        y = x
+        for i in range(depth):
+            y = tt.mul(y, 1.01) if i % 2 else tt.add(y, 0.5)
+        loss = tt.tsum(y)
+        del y
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tt.backward(loss)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * x.data.nbytes
+        np.testing.assert_allclose(x.grad, 1.01 ** (depth // 2), rtol=1e-5)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])

@@ -88,7 +88,7 @@ class TestFeatureMatching:
     def test_logits_layer_excluded(self):
         disc = tiny_disc_cfg()
         params, sn = init_parameters(tiny_gen_cfg(), disc, seed=2)
-        x = Tensor(np.random.default_rng(0).normal(size=(1, 32, 513)).astype(np.float32))
+        x = Tensor(np.random.default_rng(0).normal(size=(1, 513, 32)).astype(np.float32))
         with tt.no_grad():
             _, feats_a = discriminator_forward(discriminator_weights(params, sn, update=False),
                                                disc, x, 0)
